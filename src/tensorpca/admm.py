@@ -1,26 +1,30 @@
-"""Alternating-direction solvers for the two convex relaxations.
+"""One alternating-direction solve for every convex relaxation.
 
-Both drivers split the feasible set between two blocks: X carries the
-trace-one symmetric affine constraints (a closed-form projection), Y
-carries the spectral part (nuclear shrinkage for the penalized model, PSD
-projection for the semidefinite relaxation), and a multiplier ties them
-together.
+A `Relaxation` describes a problem: its cost matrix, the projection onto
+its trace-one affine set and a feasible rank-one start.  `solve` runs it
+and reports on X, rank-one certificate included.  `solve_nnp` and
+`solve_sdp` build the symmetric-tensor description and recover x; the
+bi-quadratic one is in `extensions`.  This module sits above
+matricize/projection and below extraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .extraction import _fix_sign, _recover_x
-from .matricize import matr, rank_one_ratio
+from .matricize import _rank_one_eig, _recover_x, matr
+from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_C, project_psd, shrink_nuclear
-from .tensors import SuperSymmetricTensor, eval_homogeneous
+from .tensors import SuperSymmetricTensor, _fix_sign, eval_homogeneous
 
 __all__ = [
     "SolverConfig",
     "SolveReport",
+    "Relaxation",
+    "solve",
     "solve_nnp",
     "solve_sdp",
     "neg_eig_mass",
@@ -54,7 +58,10 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one solve; X is the final feasible primal iterate."""
+    """Diagnostics of one solve; X is the final feasible primal iterate.
+
+    certified: the solve converged and rank_one_ratio <= cfg.rank_tol.
+    """
     objective: float
     nuclear_norm: float
     iterations: int
@@ -65,7 +72,20 @@ class SolveReport:
     extracted_lambda: float
     extracted_x: np.ndarray
     termination: str  # "converged" | "iter_cap"
+    certified: bool
     X: np.ndarray = field(repr=False, default=None)
+
+
+@dataclass(frozen=True)
+class Relaxation:
+    """One convex relaxation as `solve` runs it.
+
+    Maximize tr(CX) over trace-one X in the affine set `project` maps onto;
+    `start` is a feasible rank-one matrix, the ADMM's first Y.
+    """
+    C: np.ndarray
+    project: Callable[[np.ndarray], np.ndarray]
+    start: np.ndarray
 
 
 def neg_eig_mass(X: np.ndarray) -> float:
@@ -103,80 +123,77 @@ def run_admm(project_feasible, y_update, Y0: np.ndarray, cfg: SolverConfig):
     return X, Y, cfg.max_iter, rel, primal, False
 
 
-def _diagonal_start(F: SuperSymmetricTensor) -> np.ndarray:
-    # feasible rank-one start at the best coordinate direction
-    n, d = F.n, F.m // 2
-    best = max(range(n), key=lambda i: F[(i,) * F.m])
-    size = n ** d
-    Y0 = np.zeros((size, size))
-    p = int(np.ravel_multi_index((best,) * d, (n,) * d))
-    Y0[p, p] = 1.0
-    return Y0
+def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
+              iterations: int = 0, rel: float = 0.0, primal: float = 0.0,
+              converged: bool = True) -> SolveReport:
+    # report on X from one eigendecomposition; a bare X counts as converged.
+    # Until the caller recovers its factors, extracted_x is the leading
+    # eigenvector and extracted_lambda the objective.
+    w, ratio, _, v = _rank_one_eig(X)
+    objective = float(np.sum(C * X))
+    return SolveReport(
+        objective=objective, nuclear_norm=float(np.sum(np.abs(w))),
+        iterations=iterations, primal_residual=primal, rel_change=rel,
+        rank_one_ratio=ratio, neg_eig_mass=float(-np.sum(w[w < 0.0])),
+        extracted_lambda=objective, extracted_x=v,
+        termination="converged" if converged else "iter_cap",
+        certified=bool(converged and ratio <= rank_tol), X=X)
 
 
-def _prepare(F: SuperSymmetricTensor):
+def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
+    """Run a relaxation through the ADMM and report on its last X.
+
+    X-update: project Y + mu*Lam onto the affine set.  Y-update: "sdp"
+    projects X + mu*C - mu*Lam onto the PSD cone; "nnp" shrinks the
+    singular values of X - mu*(Lam - C) by mu*rho, for the penalized
+    objective tr(CX) - rho*||X||_*.  Multiplier: Lam <- Lam - (X - Y)/mu.
+    """
+    C = problem.C
+    if method == "sdp":
+        def y_update(X, Lam):
+            return project_psd(X + cfg.mu * C - cfg.mu * Lam)
+    elif method == "nnp":
+        tau = cfg.mu * cfg.rho
+
+        def y_update(X, Lam):
+            return shrink_nuclear(X - cfg.mu * (Lam - C), tau)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    X, _, iterations, rel, primal, converged = run_admm(
+        problem.project, y_update, problem.start, cfg)
+    return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, converged)
+
+
+def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
     if not isinstance(F, SuperSymmetricTensor):
         raise TypeError("solver input must be a SuperSymmetricTensor")
     if F.m % 2:
         raise ValueError("solvers need an even order; square odd orders first")
     if all(v == 0.0 for _, v in F.items()):
         raise ValueError("zero tensor is degenerate")
-    return F.n, F.m // 2, matr(F)
-
-
-def _report(F: SuperSymmetricTensor, Fm: np.ndarray, X: np.ndarray,
-            iterations: int, rel: float, primal: float, converged: bool
-            ) -> SolveReport:
     n, d = F.n, F.m // 2
-    w = np.linalg.eigvalsh(X)
-    ratio, (_, y) = rank_one_ratio(X)
-    x = _fix_sign(F, _recover_x(y, n, d))
-    return SolveReport(
-        objective=float(np.sum(Fm * X)),
-        nuclear_norm=float(np.sum(np.abs(w))),
-        iterations=iterations,
-        primal_residual=primal,
-        rel_change=rel,
-        rank_one_ratio=ratio,
-        neg_eig_mass=float(-np.sum(w[w < 0.0])),
-        extracted_lambda=eval_homogeneous(F, x),
-        extracted_x=x,
-        termination="converged" if converged else "iter_cap",
-        X=X,
-    )
+    # feasible rank-one start at the best coordinate direction
+    best = max(range(n), key=lambda i: F[(i,) * F.m])
+    Y0 = np.zeros((n ** d, n ** d))
+    p = int(np.ravel_multi_index((best,) * d, (n,) * d))
+    Y0[p, p] = 1.0
+    return Relaxation(matr(F), lambda Z: project_C(Z, n, d), Y0)
+
+
+def _recover_symmetric(F: SuperSymmetricTensor, report: SolveReport) -> SolveReport:
+    # x is the dominant direction of the leading eigenvector's order-d
+    # reshape, signed by the form, and lambda = F(x)
+    x = _fix_sign(F, _recover_x(report.extracted_x, F.n, F.m // 2))
+    return replace(report, extracted_lambda=eval_homogeneous(F, x), extracted_x=x)
 
 
 def solve_nnp(F: SuperSymmetricTensor, cfg: SolverConfig = None) -> SolveReport:
-    """Maximize tr(FX) - rho*||X||_* over the trace-one symmetric set.
-
-    X-update: project Y + mu*Lam onto the affine set.  Y-update: shrink the
-    singular values of X - mu*(Lam - F) by mu*rho.  Multiplier update:
-    Lam <- Lam - (X - Y)/mu.
-    """
+    """Maximize tr(FX) - rho*||X||_* over the trace-one symmetric set."""
     cfg = cfg or SolverConfig()
-    n, d, Fm = _prepare(F)
-    tau = cfg.mu * cfg.rho
-
-    def y_update(X, Lam):
-        return shrink_nuclear(X - cfg.mu * (Lam - Fm), tau)
-
-    X, _, iterations, rel, primal, ok = run_admm(
-        lambda Z: project_C(Z, n, d), y_update, _diagonal_start(F), cfg)
-    return _report(F, Fm, X, iterations, rel, primal, ok)
+    return _recover_symmetric(F, solve(_symmetric_relaxation(F), "nnp", cfg))
 
 
 def solve_sdp(F: SuperSymmetricTensor, cfg: SolverConfig = None) -> SolveReport:
-    """Maximize tr(FX) over the trace-one symmetric set intersected with PSD.
-
-    Same X and multiplier updates as the penalized model; the Y-update
-    projects X + mu*F - mu*Lam onto the PSD cone.
-    """
+    """Maximize tr(FX) over the trace-one symmetric set intersected with PSD."""
     cfg = cfg or SolverConfig()
-    n, d, Fm = _prepare(F)
-
-    def y_update(X, Lam):
-        return project_psd(X + cfg.mu * Fm - cfg.mu * Lam)
-
-    X, _, iterations, rel, primal, ok = run_admm(
-        lambda Z: project_C(Z, n, d), y_update, _diagonal_start(F), cfg)
-    return _report(F, Fm, X, iterations, rel, primal, ok)
+    return _recover_symmetric(F, solve(_symmetric_relaxation(F), "sdp", cfg))

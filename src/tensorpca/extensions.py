@@ -1,27 +1,31 @@
-"""Reductions mapping non-symmetric problems onto the even-order machinery.
+"""Reductions onto the even-order machinery, and the router for every input.
 
-A bi-quadratic form over (x, y) has its own semidefinite relaxation; the
-tri-linear and quadri-linear problems reduce to it, a general even-order
-multilinear problem embeds into one larger symmetric tensor, and odd-order
-symmetric problems square into even ones.
+A bi-quadratic form over (x, y) has its own relaxation, run through
+`admm.solve`; the tri-linear and quadri-linear problems reduce to it, a
+general even-order multilinear problem embeds into one larger symmetric
+tensor, and odd-order symmetric problems square into even ones.
+`solve_leading_pc` picks the route; even orders end in `extraction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import SolveReport, SolverConfig, run_admm
-from .extraction import MultilinearComponent, PrincipalComponent, _unit, solve_leading_pc
-from .matricize import matr_partial, rank_one_ratio
-from .projection import project_partial_C, project_psd
-from .tensors import SuperSymmetricTensor, eval_multilinear, symmetrize
+from .admm import Relaxation, SolverConfig, solve
+from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
+from .extraction import MultilinearComponent, PrincipalComponent, solve_even_order
+from .matricize import _check_biquadratic_shape, matr_partial
+from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
+from .projection import project_partial_C
+from .projection import project_psd  # noqa: F401  lookup site in benchmarks/tracer.py
+from .tensors import (SuperSymmetricTensor, _canonical_sign, _finite_array,
+                      _fix_last_sign, _fix_sign, _unit, eval_homogeneous,
+                      eval_multilinear, symmetrize)
 
 __all__ = [
     "BiquadraticComponent",
-    "is_partial_symmetric",
     "partial_symmetrize",
     "random_partial_symmetric",
     "solve_biquadratic",
@@ -32,6 +36,7 @@ __all__ = [
     "solve_trilinear",
     "solve_quadrilinear",
     "solve_multilinear",
+    "solve_leading_pc",
 ]
 
 
@@ -41,21 +46,6 @@ class BiquadraticComponent:
     x_star: np.ndarray
     y_star: np.ndarray
     certified: bool
-
-
-def _check_biquadratic_shape(g: np.ndarray) -> Tuple[int, int]:
-    if g.ndim != 4 or g.shape[0] != g.shape[2] or g.shape[1] != g.shape[3]:
-        raise ValueError(f"expected an (n, m, n, m) array, got {g.shape}")
-    return g.shape[0], g.shape[1]
-
-
-def is_partial_symmetric(g: np.ndarray, tol: float = 1e-12):
-    """Whether g is invariant under swapping modes (0,2) and modes (1,3)."""
-    g = np.asarray(g, dtype=float)
-    _check_biquadratic_shape(g)
-    violation = max(float(np.max(np.abs(g - g.transpose(2, 1, 0, 3)))),
-                    float(np.max(np.abs(g - g.transpose(0, 3, 2, 1)))))
-    return violation <= tol, violation
 
 
 def partial_symmetrize(t: np.ndarray) -> np.ndarray:
@@ -133,53 +123,29 @@ def solve_biquadratic(G: np.ndarray, cfg: SolverConfig = None):
         extracted_x is the leading eigenvector of X (length n*m).
     """
     cfg = cfg or SolverConfig()
-    G = np.asarray(G, dtype=float)
-    ok, violation = is_partial_symmetric(G, tol=1e-10)
-    if not ok:
-        raise ValueError(f"partial symmetry violated by {violation:.3e}")
+    G = _finite_array(G)
+    Gm = matr_partial(G)
     if not G.any():
         raise ValueError("zero tensor is degenerate")
     n, m = G.shape[0], G.shape[1]
-    Gm = matr_partial(G)
 
-    def y_update(X, Lam):
-        return project_psd(X + cfg.mu * Gm - cfg.mu * Lam)
-
-    # feasible rank-one start at the best coordinate pair
-    diag = np.einsum("ijij->ij", G)
-    i, j = np.unravel_index(int(np.argmax(diag)), diag.shape)
+    # feasible rank-one start at the best coordinate pair: Gm[p, p] is
+    # G[i, j, i, j] at p = i*m + j
+    p = int(np.argmax(np.diag(Gm)))
     Y0 = np.zeros_like(Gm)
-    Y0[i * m + j, i * m + j] = 1.0
+    Y0[p, p] = 1.0
 
-    X, _, iterations, rel, primal, converged = run_admm(
-        lambda Z: project_partial_C(Z, n, m), y_update, Y0, cfg)
-
-    w = np.linalg.eigvalsh(X)
-    ratio, (_, v) = rank_one_ratio(X)
-    u, _, vt = np.linalg.svd(v.reshape(n, m))
+    report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
+                   "sdp", cfg)
+    u, _, vt = np.linalg.svd(report.extracted_x.reshape(n, m))
     x, y = _unit(u[:, 0]), _unit(vt[0])
-    certified = bool(ratio <= cfg.rank_tol)
-    if not certified:
+    if not report.certified:
         x, y = _mbi_biquadratic(G, x, y, restarts=5, seed=cfg.seed)
-    if x[np.argmax(np.abs(x))] < 0:
-        x = -x
-    if y[np.argmax(np.abs(y))] < 0:
-        y = -y
+    # the form is even in x and in y: every sign is a tie
+    x, y = _canonical_sign(x), _canonical_sign(y)
     value = biquadratic_form(G, x, y)
-    report = SolveReport(
-        objective=float(np.sum(Gm * X)),
-        nuclear_norm=float(np.sum(np.abs(w))),
-        iterations=iterations,
-        primal_residual=primal,
-        rel_change=rel,
-        rank_one_ratio=ratio,
-        neg_eig_mass=float(-np.sum(w[w < 0.0])),
-        extracted_lambda=value,
-        extracted_x=v,
-        termination="converged" if converged else "iter_cap",
-        X=X,
-    )
-    return BiquadraticComponent(value, x, y, certified), report
+    return (BiquadraticComponent(value, x, y, report.certified),
+            replace(report, extracted_lambda=value))
 
 
 def trilinear_to_biquadratic(F: np.ndarray) -> np.ndarray:
@@ -262,11 +228,8 @@ def solve_trilinear(F: np.ndarray, cfg: SolverConfig = None):
     comp, report = solve_biquadratic(trilinear_to_biquadratic(F), cfg)
     x, y = comp.x_star, comp.y_star
     z = np.tensordot(F, np.outer(x, y), axes=([0, 1], [0, 1]))
-    z = _unit(z)
-    value = eval_multilinear(F, [x, y, z])
-    if value < 0:
-        z, value = -z, -value
-    return MultilinearComponent(value, (x, y, z), comp.certified), report
+    blocks, value = _fix_last_sign(F, [x, y, _unit(z)])
+    return MultilinearComponent(value, blocks, comp.certified), report
 
 
 def solve_quadrilinear(F: np.ndarray, cfg: SolverConfig = None):
@@ -276,10 +239,8 @@ def solve_quadrilinear(F: np.ndarray, cfg: SolverConfig = None):
     comp, report = solve_biquadratic(quadrilinear_to_biquadratic(F), cfg)
     x1, x3 = _split_blocks(comp.x_star, (n1, n3))
     x2, x4 = _split_blocks(comp.y_star, (n2, n4))
-    value = eval_multilinear(F, [x1, x2, x3, x4])
-    if value < 0:
-        x4, value = -x4, -value
-    return MultilinearComponent(value, (x1, x2, x3, x4), comp.certified), report
+    blocks, value = _fix_last_sign(F, [x1, x2, x3, x4])
+    return MultilinearComponent(value, blocks, comp.certified), report
 
 
 def solve_multilinear(F: np.ndarray, method: str = "sdp",
@@ -288,9 +249,49 @@ def solve_multilinear(F: np.ndarray, method: str = "sdp",
     F = np.asarray(F, dtype=float)
     T = multilinear_embed(F)
     pc, report = solve_leading_pc(T, method, cfg)
-    blocks = _split_blocks(pc.x_star, F.shape)
-    value = eval_multilinear(F, blocks)
-    if value < 0:
-        blocks[-1] = -blocks[-1]
-        value = -value
-    return MultilinearComponent(value, tuple(blocks), pc.certified), report
+    blocks, value = _fix_last_sign(F, _split_blocks(pc.x_star, F.shape))
+    return MultilinearComponent(value, blocks, pc.certified), report
+
+
+def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
+    """End-to-end entry point: reduce if needed, solve, extract, refine.
+
+    Parameters
+    ----------
+    F : SuperSymmetricTensor or ndarray
+        Even-order symmetric tensors are solved directly; odd-order
+        symmetric tensors are squared first; dense order-3 and order-4
+        arrays take the bi-quadratic route; other even-order dense arrays
+        are embedded into one larger symmetric tensor.  Dense arrays must
+        be finite.
+    method : {"sdp", "nnp"}
+        Relaxation solved by the ADMM.
+    cfg : SolverConfig, optional
+
+    Returns
+    -------
+    (component, report)
+        A PrincipalComponent for symmetric inputs, a MultilinearComponent
+        for multilinear ones; the report is the underlying solver's.
+    """
+    cfg = cfg or SolverConfig()
+    if method not in ("nnp", "sdp"):
+        raise ValueError(f"unknown method {method!r}")
+
+    if isinstance(F, SuperSymmetricTensor):
+        if F.m % 2 == 0:
+            return solve_even_order(F, method, cfg)
+        # odd order: maximize the squared norm of the once-contracted form
+        pc_even, report = solve_leading_pc(odd_to_even(F), method, cfg)
+        x = _fix_sign(F, pc_even.x_star)
+        return PrincipalComponent(eval_homogeneous(F, x), x,
+                                  pc_even.certified), report
+
+    t = _finite_array(F)
+    if t.ndim == 3:
+        return solve_trilinear(t, cfg)
+    if t.ndim == 4:
+        return solve_quadrilinear(t, cfg)
+    if t.ndim % 2 == 0:
+        return solve_multilinear(t, method, cfg)
+    raise ValueError(f"no solve route for a dense order-{t.ndim} array")

@@ -1,8 +1,9 @@
-"""Turning a matrix solution into a tensor principal component.
+"""Turning a solve into a tensor principal component.
 
-Covers rank-one certification, eigenvector-to-x recovery, block-coordinate
-refinement for solutions that miss the rank-one certificate, deflation, and
-the end-to-end driver that also routes reducible inputs.
+Reads the rank-one certificate of a solve, refines solutions that miss it
+by block-coordinate ascent, deflates, and runs the even-order step of
+`extensions.solve_leading_pc`: solve, extract, fall back.  This module
+sits above `admm` and below `extensions`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .matricize import is_super_symmetric, matr_inv, mode_n_unfold, rank_one_ratio
-from .tensors import (SuperSymmetricTensor, eval_homogeneous, eval_multilinear,
-                      identity_power, rank_one)
+from . import admm
+from .admm import SolveReport, _recover_symmetric, _summarize
+from .matricize import is_super_symmetric, matr, matr_inv
+from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
+from .tensors import (SuperSymmetricTensor, _as_dense, _fix_sign, _unit,
+                      eval_homogeneous, eval_multilinear, identity_power,
+                      rank_one)
 
 __all__ = [
     "PrincipalComponent",
@@ -24,7 +29,7 @@ __all__ = [
     "extract",
     "mbi_refine",
     "deflate",
-    "solve_leading_pc",
+    "solve_even_order",
 ]
 
 
@@ -59,67 +64,31 @@ class MbiResult:
     converged: bool
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    nrm = float(np.linalg.norm(x))
-    if nrm == 0.0:
-        raise ValueError("zero vector cannot be normalized")
-    return x / nrm
-
-
-def _recover_x(y: np.ndarray, n: int, d: int) -> np.ndarray:
-    # y ~ vect of an order-d rank-one tensor; the dominant left singular
-    # vector of its mode-0 unfolding is robust to small asymmetry
-    if d == 1:
-        return _unit(y)
-    T = y.reshape((n,) * d)
-    u, _, _ = np.linalg.svd(mode_n_unfold(T, 0), full_matrices=False)
-    return _unit(u[:, 0])
-
-
-def _fix_sign(F: SuperSymmetricTensor, x: np.ndarray) -> np.ndarray:
-    plus = eval_homogeneous(F, x)
-    minus = eval_homogeneous(F, -x)
-    if minus > plus:
-        return -x
-    if minus == plus and x[np.argmax(np.abs(x))] < 0:
-        return -x
-    return x
-
-
-def extract(F: SuperSymmetricTensor, X: np.ndarray, rank_tol: float = 1e-6
+def extract(F: SuperSymmetricTensor, solution, rank_tol: float = 1e-6
             ) -> Union[PrincipalComponent, NotRankOne]:
-    """Recover (lambda*, x*) from a feasible matrix solution X.
+    """Recover (lambda*, x*) for the even-order F from a solve or a matrix.
 
-    If the second-to-first singular value ratio of X is within `rank_tol`,
-    the leading eigenvector is reshaped to an order-d tensor, x is read off
-    as the dominant singular direction, the sign maximizing the form is
-    chosen, and lambda* is the form's value at x.  Otherwise a NotRankOne
-    carrying the spectrum is returned.
-
-    Parameters
-    ----------
-    F : SuperSymmetricTensor
-        The even-order tensor whose form is being maximized.
-    X : ndarray
-        Matrix feasible for the trace-one symmetric set.
-    rank_tol : float
-        Certification threshold on sigma_2/sigma_1.
+    `solution` is a report of solve_nnp or solve_sdp, whose certificate is
+    read as is, or a bare matrix feasible for the trace-one symmetric set,
+    certified by the same rule (with `rank_tol`) as a converged point.  A
+    certified solution gives the x read off its leading eigenvector and
+    lambda* = F(x); otherwise a NotRankOne carrying the spectrum is returned.
     """
     if F.m % 2:
         raise ValueError("extraction needs an even order")
     n, d = F.n, F.m // 2
-    X = np.asarray(X, dtype=float)
+    report = solution if isinstance(solution, SolveReport) else None
+    X = np.asarray(solution if report is None else report.X, dtype=float)
     if abs(float(np.trace(X)) - 1.0) > 1e-8:
         raise ValueError("X is infeasible: trace is not one")
     ok, violation = is_super_symmetric(matr_inv(X, n, d), tol=1e-8)
     if not ok:
         raise ValueError(f"X is infeasible: symmetry violated by {violation:.3e}")
-    ratio, (_, y) = rank_one_ratio(X)
-    if ratio > rank_tol:
-        return NotRankOne(ratio, np.linalg.eigvalsh(X))
-    x = _fix_sign(F, _recover_x(y, n, d))
-    return PrincipalComponent(eval_homogeneous(F, x), x, True)
+    if report is None:
+        report = _recover_symmetric(F, _summarize(X, matr(F), rank_tol))
+    if not report.certified:
+        return NotRankOne(report.rank_one_ratio, np.linalg.eigvalsh(X))
+    return PrincipalComponent(report.extracted_lambda, report.extracted_x, True)
 
 
 def _block_gradient(t: np.ndarray, xs: Sequence[np.ndarray], j: int) -> np.ndarray:
@@ -141,9 +110,7 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
     way).  The returned x is the block direction whose homogeneous value is
     largest, sign fixed toward the larger value.
     """
-    if isinstance(t, SuperSymmetricTensor):
-        t = t.to_dense()
-    t = np.asarray(t, dtype=float)
+    t = _as_dense(t)
     m = t.ndim
     if len(set(t.shape)) != 1:
         raise ValueError("block refinement needs a cubical tensor")
@@ -169,11 +136,7 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
     def homogeneous(x):
         return eval_multilinear(t, [x] * m)
 
-    best = max(xs, key=lambda x: max(homogeneous(x), homogeneous(-x)))
-    if homogeneous(-best) > homogeneous(best):
-        best = -best
-    elif homogeneous(-best) == homogeneous(best) and best[np.argmax(np.abs(best))] < 0:
-        best = -best
+    best = _fix_sign(t, max(xs, key=lambda x: max(homogeneous(x), homogeneous(-x))))
     return MbiResult(best, homogeneous(best), sweeps, converged)
 
 
@@ -220,57 +183,18 @@ def deflate(F: SuperSymmetricTensor, pc: PrincipalComponent) -> SuperSymmetricTe
     return F - pc.lambda_star * rank_one(1.0, pc.x_star, F.m)
 
 
-def solve_leading_pc(F, method: str = "sdp", cfg=None):
-    """End-to-end driver: reduce if needed, solve, extract, refine.
+def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
+    """Even-order step of solve_leading_pc: solve, extract, refine.
 
-    Parameters
-    ----------
-    F : SuperSymmetricTensor or ndarray
-        Even-order symmetric tensors are solved directly; odd-order
-        symmetric tensors are squared first; dense order-3 and order-4
-        arrays take the bi-quadratic route; other even-order dense arrays
-        are embedded into one larger symmetric tensor.
-    method : {"sdp", "nnp"}
-        Relaxation solved by the ADMM.
-    cfg : SolverConfig, optional
-
-    Returns
-    -------
-    (component, report)
-        A PrincipalComponent for symmetric inputs, a MultilinearComponent
-        for multilinear ones; the report is the underlying solver's.
+    An uncertified solve falls back to block ascent from the extracted x
+    plus random restarts, and the component is flagged uncertified.
     """
-    from . import admm, extensions  # deferred: those modules import this one
-
-    if cfg is None:
-        cfg = admm.SolverConfig()
-    if method not in ("nnp", "sdp"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if isinstance(F, SuperSymmetricTensor):
-        if F.m % 2 == 0:
-            solver = admm.solve_nnp if method == "nnp" else admm.solve_sdp
-            report = solver(F, cfg)
-            pc = extract(F, report.X, cfg.rank_tol)
-            if isinstance(pc, NotRankOne):
-                x = _refine_not_rank_one(F, report.X, report.extracted_x,
-                                         restarts=5, seed=cfg.seed)
-                pc = PrincipalComponent(eval_homogeneous(F, x), x, False)
-            return pc, report
-        # odd order: maximize the squared norm of the once-contracted form
-        G = extensions.odd_to_even(F)
-        pc_even, report = solve_leading_pc(G, method, cfg)
-        x = pc_even.x_star
-        if eval_homogeneous(F, x) < 0:
-            x = -x
-        return PrincipalComponent(eval_homogeneous(F, x), x,
-                                  pc_even.certified), report
-
-    t = np.asarray(F, dtype=float)
-    if t.ndim == 3:
-        return extensions.solve_trilinear(t, cfg)
-    if t.ndim == 4:
-        return extensions.solve_quadrilinear(t, cfg)
-    if t.ndim % 2 == 0:
-        return extensions.solve_multilinear(t, method, cfg)
-    raise ValueError(f"no solve route for a dense order-{t.ndim} array")
+    # the solvers are looked up on admm, where benchmarks/tracer.py times them
+    solver = admm.solve_nnp if method == "nnp" else admm.solve_sdp
+    report = solver(F, cfg)
+    pc = extract(F, report)
+    if isinstance(pc, NotRankOne):
+        x = _refine_not_rank_one(F, report.X, report.extracted_x,
+                                 restarts=5, seed=cfg.seed)
+        pc = PrincipalComponent(eval_homogeneous(F, x), x, False)
+    return pc, report

@@ -24,7 +24,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .extensions import is_partial_symmetric
+from .matricize import is_partial_symmetric, matr_partial
 from .tensors import SuperSymmetricTensor
 
 __all__ = ["FORMAT_VERSION", "KINDS", "TensorFileError", "LoadedTensor",
@@ -175,9 +175,7 @@ def write_tensor(path, data, kind: str = None) -> None:
     else:
         data = np.asarray(data, dtype=float)
         if kind == "partial_symmetric":
-            ok, violation = is_partial_symmetric(data, tol=1e-10)
-            if not ok:
-                raise ValueError(f"partial symmetry violated by {violation:.3e}")
+            matr_partial(data)  # raises on a partial-symmetry violation
         dims = data.shape
         entries = [(idx, float(data[idx])) for idx in np.ndindex(*dims)
                    if data[idx] != 0.0]

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .tensors import SuperSymmetricTensor, _class_table
+from .tensors import SuperSymmetricTensor, _canonical_sign, _class_table, _unit
 
 __all__ = [
     "matr",
@@ -21,6 +21,7 @@ __all__ = [
     "vect",
     "vect_inv",
     "is_super_symmetric",
+    "is_partial_symmetric",
     "rank_one_ratio",
     "matr_partial",
     "mode_n_unfold",
@@ -86,14 +87,9 @@ def is_super_symmetric(t: np.ndarray, tol: float = 1e-12):
     return violation <= tol, violation
 
 
-def rank_one_ratio(X: np.ndarray):
-    """Second-to-first singular value ratio and leading eigenpair of X.
+def _rank_one_eig(X: np.ndarray):
+    # rank_one_ratio plus the eigenvalues, from the same eigendecomposition
 
-    For a symmetric matrix the singular values are the absolute eigenvalues,
-    so one eigendecomposition suffices.  A ratio at or below the rank-one
-    tolerance certifies a rank-one matrix.  The returned eigenvector has its
-    largest-magnitude component positive.
-    """
     X = np.asarray(X, dtype=float)
     w, V = np.linalg.eigh(0.5 * (X + X.T))
     mags = np.abs(w)
@@ -102,10 +98,42 @@ def rank_one_ratio(X: np.ndarray):
     if s1 == 0.0:
         raise ValueError("zero matrix has no rank-one ratio")
     s2 = mags[order[1]] if X.shape[0] > 1 else 0.0
-    vec = V[:, order[0]].copy()
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    return s2 / s1, (float(w[order[0]]), vec)
+    return w, s2 / s1, float(w[order[0]]), _canonical_sign(V[:, order[0]].copy())
+
+
+def rank_one_ratio(X: np.ndarray):
+    """Second-to-first singular value ratio and leading eigenpair of X.
+
+    For a symmetric matrix the singular values are the absolute eigenvalues,
+    so one eigendecomposition suffices.  The returned eigenvector has its
+    largest-magnitude component positive.
+    """
+    _, ratio, value, vec = _rank_one_eig(X)
+    return ratio, (value, vec)
+
+
+def _recover_x(y: np.ndarray, n: int, d: int) -> np.ndarray:
+    # y ~ vect of an order-d rank-one tensor; the dominant left singular
+    # vector of its mode-0 unfolding is robust to small asymmetry
+    if d == 1:
+        return _unit(y)
+    T = y.reshape((n,) * d)
+    u, _, _ = np.linalg.svd(mode_n_unfold(T, 0), full_matrices=False)
+    return _unit(u[:, 0])
+
+
+def _check_biquadratic_shape(g: np.ndarray) -> None:
+    if g.ndim != 4 or g.shape[0] != g.shape[2] or g.shape[1] != g.shape[3]:
+        raise ValueError(f"expected an (n, m, n, m) array, got {g.shape}")
+
+
+def is_partial_symmetric(g: np.ndarray, tol: float = 1e-12):
+    """Whether g is invariant under swapping modes (0,2) and modes (1,3)."""
+    g = np.asarray(g, dtype=float)
+    _check_biquadratic_shape(g)
+    violation = max(float(np.max(np.abs(g - g.transpose(2, 1, 0, 3)))),
+                    float(np.max(np.abs(g - g.transpose(0, 3, 2, 1)))))
+    return violation <= tol, violation
 
 
 def matr_partial(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -117,11 +145,8 @@ def matr_partial(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     symmetric; inputs violating partial symmetry beyond `tol` are rejected.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 4 or g.shape[0] != g.shape[2] or g.shape[1] != g.shape[3]:
-        raise ValueError(f"expected an (n, m, n, m) array, got {g.shape}")
-    violation = max(float(np.max(np.abs(g - g.transpose(2, 1, 0, 3)))),
-                    float(np.max(np.abs(g - g.transpose(0, 3, 2, 1)))))
-    if violation > tol:
+    ok, violation = is_partial_symmetric(g, tol)
+    if not ok:
         raise ValueError(f"partial symmetry violated by {violation:.3e}")
     n, m = g.shape[0], g.shape[1]
     return g.reshape(n * m, n * m)

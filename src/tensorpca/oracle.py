@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import _unit, mbi_refine
-from .tensors import SuperSymmetricTensor, eval_homogeneous, identity_power
+from .extraction import mbi_refine
+from .tensors import SuperSymmetricTensor, _unit, eval_homogeneous, identity_power
 
 __all__ = ["OracleResult", "sphere_grid_max", "kkt_project", "multistart_local"]
 

@@ -120,7 +120,7 @@ class SuperSymmetricTensor:
         Tensor order.
     values : mapping or iterable of (index, value), optional
         Entries to store.  Indices are canonicalized; two entries landing in
-        the same class is an error.
+        the same class, or a nan or inf value, is an error.
     """
 
     __slots__ = ("n", "m", "_values", "_dense")
@@ -142,6 +142,8 @@ class SuperSymmetricTensor:
                 if key in stored:
                     raise ValueError(f"duplicate entry for class {key}")
                 stored[key] = float(v)
+                if not math.isfinite(stored[key]):
+                    raise ValueError(f"entry {key} is not finite: {stored[key]}")
         self._values = stored
         self._dense = None
 
@@ -240,20 +242,51 @@ def eval_multilinear(f, xs: Sequence[np.ndarray]) -> float:
 
 
 def eval_homogeneous(f: SuperSymmetricTensor, x: np.ndarray) -> float:
-    """Value of the degree-m form f(x,...,x), summed over canonical classes.
-
-    Each stored class contributes class_size(idx) * value * prod(x[idx]);
-    this equals eval_multilinear with m copies of x.
-    """
+    """Value of the degree-m form f(x,...,x): eval_multilinear with m copies of x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (f.n,):
         raise ValueError(f"vector length {x.size} does not match dimension {f.n}")
-    total = 0.0
-    for key, v in f.items():
-        if v == 0.0:
-            continue
-        total += class_size(key) * v * float(np.prod(x[list(key)]))
-    return total
+    return eval_multilinear(f, [x] * f.m)
+
+
+def _finite_array(t) -> np.ndarray:
+    # t as a float array, rejecting nan and inf entries
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("tensor entries must be finite, found nan or inf")
+    return t
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    nrm = float(np.linalg.norm(x))
+    if nrm == 0.0:
+        raise ValueError("zero vector cannot be normalized")
+    return x / nrm
+
+
+def _canonical_sign(x: np.ndarray) -> np.ndarray:
+    # x or -x, whichever has its largest-magnitude entry positive
+    return -x if x[np.argmax(np.abs(x))] < 0 else x
+
+
+def _fix_sign(f, x: np.ndarray) -> np.ndarray:
+    # sign rule for a symmetric form f(x, ..., x): the larger value wins; on
+    # a tie (every even order) the largest-magnitude entry is made positive
+    m = _as_dense(f).ndim
+    plus, minus = eval_multilinear(f, [x] * m), eval_multilinear(f, [-x] * m)
+    if minus == plus:
+        return _canonical_sign(x)
+    return -x if minus > plus else x
+
+
+def _fix_last_sign(f, xs: Sequence[np.ndarray]):
+    # sign rule for a multilinear form: flip the last block when f(xs) < 0;
+    # returns the blocks as a tuple and the value
+    value = eval_multilinear(f, xs)
+    if value < 0:
+        return (*xs[:-1], -xs[-1]), -value
+    return tuple(xs), value
 
 
 def rank_one(lam: float, a: np.ndarray, m: int) -> SuperSymmetricTensor:

@@ -290,3 +290,7 @@ def test_solve_biquadratic_input_checks():
         solve_biquadratic(rng.standard_normal((3, 4, 3, 4)))
     with pytest.raises(ValueError):
         solve_biquadratic(np.zeros((2, 2, 2, 2)))
+    bad = random_partial_symmetric(2, 3, 0)
+    bad[0, 1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_biquadratic(bad)

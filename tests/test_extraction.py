@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tensorpca import (PrincipalComponent, NotRankOne, extract, mbi_refine,
                        deflate, solve_leading_pc, SolverConfig,
                        SuperSymmetricTensor, rank_one, random_gaussian,
-                       eval_homogeneous, matr, inner, multistart_local)
+                       eval_homogeneous, matr, inner, multistart_local, main,
+                       write_tensor)
+from tensorpca.extraction import _refine_not_rank_one
 
 
 def unit(x):
@@ -129,6 +133,33 @@ def test_solve_leading_pc_routing_errors():
         solve_leading_pc(random_gaussian(3, 4, 0), "cvx")
     with pytest.raises(ValueError):
         solve_leading_pc(np.zeros((2, 2, 2, 2, 2)))
+    bad = np.ones((2, 2, 2, 2))
+    bad[0, 1, 0, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            solve_leading_pc(bad)
+
+
+def test_iter_cap_is_never_certified(tmp_path):
+    # one iteration leaves X at the rank-one start: a ratio of 0 that
+    # certifies nothing, since the solve did not converge
+    F = random_gaussian(5, 4, 3)
+    cfg = SolverConfig(max_iter=1)
+    pc, report = solve_leading_pc(F, "sdp", cfg)
+    assert report.termination == "iter_cap"
+    assert not report.certified
+    assert not pc.certified
+    x = _refine_not_rank_one(F, report.X, report.extracted_x, restarts=5,
+                             seed=cfg.seed)
+    assert pc.lambda_star == eval_homogeneous(F, x)
+    converged, _ = solve_leading_pc(F, "sdp")
+    assert converged.certified
+    assert pc.lambda_star < converged.lambda_star - 0.1
+
+    path = str(tmp_path / "t.tensor")
+    write_tensor(path, F)
+    assert main(["solve", path, "--max-iter", "1"]) == 2
 
 
 def test_uncertified_solve_falls_back_to_ascent():

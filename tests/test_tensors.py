@@ -71,6 +71,8 @@ def test_tensor_rejects_bad_entries():
         SuperSymmetricTensor(2, 2, {(0, 1, 1): 1.0})
     with pytest.raises(ValueError):
         SuperSymmetricTensor(0, 2)
+    with pytest.raises(ValueError, match="not finite"):
+        SuperSymmetricTensor(2, 2, {(0, 1): float("nan")})
 
 
 def test_to_dense_is_symmetric_and_read_only():
