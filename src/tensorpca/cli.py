@@ -1,11 +1,13 @@
 """Command-line front end and the batch experiment harness.
 
 Four subcommands: ``gen`` writes random instances, ``solve`` runs one file
-through the chosen relaxation, ``oracle`` prints the brute-force reference
-value, and ``experiment`` sweeps seeded random instances and emits one CSV
-row per (size, method).  Exit codes: 0 for a certified solve, 2 when the
-solve finished but the rank-one certificate failed (the reported component
-then comes from the local-ascent fallback), 1 for any error.
+through the chosen relaxation, ``oracle`` prints the reference value, and
+``experiment`` sweeps seeded random instances, one trial after another, and
+emits one CSV row per (size, method).  ``--method`` picks the relaxation on
+every route, bi-quadratic files and the biquadratic family included.
+Exit codes: 0 for a certified solve, 2 when the solve finished but the
+rank-one certificate failed (the reported component then comes from the
+local-ascent fallback), 1 for any error.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import csv
+import logging
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -31,10 +32,10 @@ from .io import TensorFileError, read_tensor, write_tensor
 from .oracle import multistart_local, sphere_grid_max
 from .tensors import _fix_sign, eval_homogeneous, random_gaussian, random_uniform
 
-__all__ = ["ExperimentSpec", "run_experiment", "main", "CSV_COLUMNS",
-           "WORKERS_ENV"]
+__all__ = ["ExperimentSpec", "run_experiment", "main", "CSV_COLUMNS"]
 
-WORKERS_ENV = "TENSORPCA_WORKERS"
+logger = logging.getLogger(__name__)
+
 CSV_COLUMNS = ("n", "method", "trials", "rank_one_count", "mean_iter",
                "mean_objective", "mean_wall_time", "failed")
 
@@ -47,7 +48,7 @@ class ExperimentSpec:
     draws a Gaussian order-2d tensor; for ``biquadratic`` it holds (n, m)
     pairs drawn as partial-symmetric arrays.  Trial t of every (size,
     method) cell uses seed ``seed_base + t``, so the instances are identical
-    across methods and results do not depend on worker scheduling.
+    across methods.
     """
 
     sizes: Tuple
@@ -68,8 +69,6 @@ class ExperimentSpec:
             if method not in ("nnp", "sdp"):
                 raise ValueError(f"unknown method {method!r}")
         if self.family == "biquadratic":
-            if tuple(self.methods) != ("sdp",):
-                raise ValueError("the biquadratic family is solved by sdp only")
             for size in self.sizes:
                 if not isinstance(size, (tuple, list)) or len(size) != 2:
                     raise ValueError("biquadratic sizes are (n, m) pairs")
@@ -84,71 +83,55 @@ def _symmetric_trial(n: int, d: int, method: str, cfg: SolverConfig, seed: int):
     return report.certified, report.iterations, report.objective, elapsed
 
 
-def _biquadratic_trial(n: int, m: int, cfg: SolverConfig, seed: int):
+def _biquadratic_trial(n: int, m: int, method: str, cfg: SolverConfig,
+                       seed: int):
     G = random_partial_symmetric(n, m, seed)
     start = time.perf_counter()
-    component, report = solve_biquadratic(G, cfg)
+    component, report = solve_biquadratic(G, method, cfg)
     elapsed = time.perf_counter() - start
     return component.certified, report.iterations, report.objective, elapsed
-
-
-def _worker_count() -> int:
-    configured = os.environ.get(WORKERS_ENV, "")
-    if configured.strip():
-        count = int(configured)
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV} must be a positive integer")
-        return count
-    return min(os.cpu_count() or 1, 8)
 
 
 def run_experiment(spec: ExperimentSpec):
     """Run the sweep; returns one row dict per (size, method) cell.
 
-    Trials run in a thread pool sized by the TENSORPCA_WORKERS environment
-    variable (default: CPU count capped at 8).  Exceptions inside a trial
-    are counted in the `failed` column and excluded from the means.  When
-    `spec.output` is set the rows are also written there as CSV.
+    Trials run one after another in the calling thread.  A trial that
+    raises is logged at DEBUG with its traceback, counted in the `failed`
+    column and excluded from the means.  When `spec.output` is set the
+    rows are also written there as CSV.
     """
     cfg = spec.cfg or SolverConfig()
-
-    def guarded(fn, *args):
-        try:
-            return fn(*args)
-        except Exception:
-            return None
-
     rows = []
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        for size in spec.sizes:
-            for method in spec.methods:
-                if spec.family == "symmetric":
-                    label = str(size)
-                    futures = [pool.submit(guarded, _symmetric_trial, size,
-                                           spec.d, method, cfg,
-                                           spec.seed_base + t)
-                               for t in range(spec.trials)]
-                else:
-                    n, m = size
-                    label = f"{n}x{m}"
-                    futures = [pool.submit(guarded, _biquadratic_trial, n, m,
-                                           cfg, spec.seed_base + t)
-                               for t in range(spec.trials)]
-                results = [f.result() for f in futures]
-                done = [r for r in results if r is not None]
-                rows.append({
-                    "n": label,
-                    "method": method,
-                    "trials": spec.trials,
-                    "rank_one_count": sum(1 for c, *_ in done if c),
-                    "mean_iter": (math.fsum(r[1] for r in done) / len(done)
-                                  if done else math.nan),
-                    "mean_objective": (math.fsum(r[2] for r in done) / len(done)
-                                       if done else math.nan),
-                    "mean_wall_time": (math.fsum(r[3] for r in done) / len(done)
-                                       if done else math.nan),
-                    "failed": len(results) - len(done),
-                })
+    for size in spec.sizes:
+        for method in spec.methods:
+            if spec.family == "symmetric":
+                label = str(size)
+                trial, args = _symmetric_trial, (size, spec.d, method, cfg)
+            else:
+                label = f"{size[0]}x{size[1]}"
+                trial, args = _biquadratic_trial, (*size, method, cfg)
+            done = []
+            for t in range(spec.trials):
+                seed = spec.seed_base + t
+                try:
+                    done.append(trial(*args, seed))
+                except Exception:
+                    logger.debug("trial failed: %s %s method=%s seed=%d",
+                                 spec.family, label, method, seed,
+                                 exc_info=True)
+            rows.append({
+                "n": label,
+                "method": method,
+                "trials": spec.trials,
+                "rank_one_count": sum(1 for c, *_ in done if c),
+                "mean_iter": (math.fsum(r[1] for r in done) / len(done)
+                              if done else math.nan),
+                "mean_objective": (math.fsum(r[2] for r in done) / len(done)
+                                   if done else math.nan),
+                "mean_wall_time": (math.fsum(r[3] for r in done) / len(done)
+                                   if done else math.nan),
+                "failed": spec.trials - len(done),
+            })
     if spec.output is not None:
         with open(spec.output, "w", encoding="utf-8", newline="") as handle:
             write_csv(rows, handle)
@@ -208,12 +191,10 @@ def _cmd_solve(args) -> int:
     loaded = read_tensor(args.input)
     cfg = _cfg_from_args(args)
     if loaded.kind == "partial_symmetric":
-        component, report = solve_biquadratic(loaded.data, cfg)
-        method = "sdp"
+        component, report = solve_biquadratic(loaded.data, args.method, cfg)
         vectors = {"x": component.x_star, "y": component.y_star}
     else:
         component, report = solve_leading_pc(loaded.data, args.method, cfg)
-        method = args.method
         if isinstance(component, MultilinearComponent):
             vectors = {f"x{i + 1}": x for i, x in enumerate(component.xs)}
         else:
@@ -221,7 +202,7 @@ def _cmd_solve(args) -> int:
     info = {
         "kind": loaded.kind,
         "dims": " ".join(str(d) for d in loaded.dims),
-        "method": method,
+        "method": args.method,
         "lambda": component.lambda_star,
         "certified": component.certified,
         "iterations": report.iterations,
@@ -288,7 +269,6 @@ def _cmd_experiment(args) -> int:
         if args.m is None or len(args.m) != len(args.n):
             raise ValueError("biquadratic runs need --m with one value per --n")
         sizes = tuple(zip(args.n, args.m))
-        methods = ("sdp",)
     else:
         sizes = tuple(args.n)
     spec = ExperimentSpec(sizes=sizes, trials=args.trials, methods=methods,
@@ -369,10 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TensorFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, OSError) as exc:
+    except (TensorFileError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -106,12 +106,14 @@ def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     return best[1], best[2]
 
 
-def solve_biquadratic(G: np.ndarray, cfg: SolverConfig = None):
-    """Maximize G(x, y, x, y) over unit x, y via the semidefinite relaxation.
+def solve_biquadratic(G: np.ndarray, method: str = "sdp",
+                      cfg: SolverConfig = None):
+    """Maximize G(x, y, x, y) over unit x, y via a convex relaxation.
 
-    The relaxation maximizes tr(matr_partial(G) X) over trace-one PSD
-    matrices with a partial-symmetric underlying tensor, solved by the same
-    splitting loop as the symmetric case.  A rank-one solution factors as
+    The relaxation maximizes tr(matr_partial(G) X) over trace-one matrices
+    with a partial-symmetric underlying tensor, PSD for "sdp" and with a
+    nuclear-norm penalty for "nnp", solved by the same splitting loop as
+    the symmetric case.  A rank-one solution factors as
     vec(x y^T) vec(x y^T)^T; the SVD of the reshaped leading eigenvector
     splits it into the two unit blocks.  Uncertified solutions fall back to
     alternating eigenvector ascent.
@@ -136,7 +138,7 @@ def solve_biquadratic(G: np.ndarray, cfg: SolverConfig = None):
     Y0[p, p] = 1.0
 
     report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
-                   "sdp", cfg)
+                   method, cfg)
     u, _, vt = np.linalg.svd(report.extracted_x.reshape(n, m))
     x, y = _unit(u[:, 0]), _unit(vt[0])
     if not report.certified:
@@ -222,21 +224,24 @@ def _split_blocks(y: np.ndarray, dims) -> list:
     return blocks
 
 
-def solve_trilinear(F: np.ndarray, cfg: SolverConfig = None):
+def solve_trilinear(F: np.ndarray, method: str = "sdp",
+                    cfg: SolverConfig = None):
     """Maximize F(x, y, z) over unit vectors via the bi-quadratic reduction."""
     F = np.asarray(F, dtype=float)
-    comp, report = solve_biquadratic(trilinear_to_biquadratic(F), cfg)
+    comp, report = solve_biquadratic(trilinear_to_biquadratic(F), method, cfg)
     x, y = comp.x_star, comp.y_star
     z = np.tensordot(F, np.outer(x, y), axes=([0, 1], [0, 1]))
     blocks, value = _fix_last_sign(F, [x, y, _unit(z)])
     return MultilinearComponent(value, blocks, comp.certified), report
 
 
-def solve_quadrilinear(F: np.ndarray, cfg: SolverConfig = None):
+def solve_quadrilinear(F: np.ndarray, method: str = "sdp",
+                       cfg: SolverConfig = None):
     """Maximize F(x1, x2, x3, x4) over unit vectors via stacking."""
     F = np.asarray(F, dtype=float)
     n1, n2, n3, n4 = F.shape
-    comp, report = solve_biquadratic(quadrilinear_to_biquadratic(F), cfg)
+    comp, report = solve_biquadratic(quadrilinear_to_biquadratic(F), method,
+                                     cfg)
     x1, x3 = _split_blocks(comp.x_star, (n1, n3))
     x2, x4 = _split_blocks(comp.y_star, (n2, n4))
     blocks, value = _fix_last_sign(F, [x1, x2, x3, x4])
@@ -289,9 +294,9 @@ def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
 
     t = _finite_array(F)
     if t.ndim == 3:
-        return solve_trilinear(t, cfg)
+        return solve_trilinear(t, method, cfg)
     if t.ndim == 4:
-        return solve_quadrilinear(t, cfg)
+        return solve_quadrilinear(t, method, cfg)
     if t.ndim % 2 == 0:
         return solve_multilinear(t, method, cfg)
     raise ValueError(f"no solve route for a dense order-{t.ndim} array")

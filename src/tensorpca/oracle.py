@@ -2,9 +2,10 @@
 
 Everything here recomputes answers by brute force: homogeneous forms are
 evaluated densely on an angular sphere grid, the feasible-set projection is
-solved from explicitly assembled equality constraints, and a multistart
-block-ascent comparator gives the best locally attainable value.  None of
-it shares a code path with the solvers it is meant to check.
+solved from explicitly assembled equality constraints, and multistart
+shifted symmetric higher-order power iterations (SS-HOPM) give the best
+locally attainable value.  None of it shares a code path with the solvers
+it is meant to check: the module imports only `tensors`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import mbi_refine
-from .tensors import SuperSymmetricTensor, _unit, eval_homogeneous, identity_power
+from .tensors import SuperSymmetricTensor, _canonical_sign, _unit
 
 __all__ = ["OracleResult", "sphere_grid_max", "kkt_project", "multistart_local"]
+
+# SS-HOPM stops once the form changes by at most this much, relatively,
+# or after this many steps
+_HOPM_TOL = 1e-12
+_HOPM_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -151,26 +156,36 @@ def kkt_project(Z: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def multistart_local(F: SuperSymmetricTensor, restarts: int = 20,
                      seed: int = 0) -> OracleResult:
-    """Best stationary value found by block ascent from random starts.
+    """Best stationary value found by SS-HOPM from random starts.
 
-    Each start runs block-coordinate ascent on the shifted form
-    F(x, ..., x) + 6 (x^T x)^d, whose added term is constant on the sphere
-    but keeps the iteration from stalling at sign-indefinite points.  The
-    reported value is the original form at the best point found; it is a
-    feasible point's value, hence a lower bound on the true maximum.
+    Each start runs the shifted symmetric higher-order power method of
+    Kolda & Mayo (SIAM J. Matrix Anal. Appl. 2011),
+    x <- unit(F x^(m-1) + alpha x) with alpha = (m-1) ||F||_F, a shift
+    large enough that the form never decreases.  The reported value is
+    the form at the best point found; it is a feasible point's value,
+    hence a lower bound on the true maximum.
     """
     if not isinstance(F, SuperSymmetricTensor):
         raise TypeError("expected a SuperSymmetricTensor")
     if F.m % 2:
         raise ValueError("multistart oracle handles even orders only")
     n, m = F.n, F.m
-    shifted = (F + 6.0 * identity_power(n, m // 2)).to_dense()
+    t = F.to_dense()
+    alpha = (m - 1) * float(np.linalg.norm(t))
     rng = np.random.default_rng(seed)
     best_x, best_value = None, -np.inf
     for _ in range(max(1, restarts)):
-        x0 = _unit(rng.standard_normal(n))
-        result = mbi_refine(shifted, [x0] * m)
-        value = eval_homogeneous(F, result.x)
+        x = _unit(rng.standard_normal(n))
+        previous = None
+        for _ in range(_HOPM_MAX_STEPS):
+            g = _dense_gradient(t, x) / m  # F x^(m-1); F(x) = g . x
+            value = float(g @ x)
+            if previous is not None and \
+                    abs(value - previous) <= _HOPM_TOL * abs(previous):
+                break
+            previous = value
+            x = _unit(g + alpha * x)
+        value = _dense_eval(t, x)
         if value > best_value:
-            best_x, best_value = result.x, value
-    return OracleResult(best_value, best_x, 0, True)
+            best_x, best_value = x, value
+    return OracleResult(best_value, _canonical_sign(best_x), 0, True)

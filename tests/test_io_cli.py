@@ -1,13 +1,16 @@
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
 
+from tensorpca import admm, cli
 from tensorpca import (read_tensor, write_tensor, TensorFileError,
                        ExperimentSpec, run_experiment, main, CSV_COLUMNS,
                        random_gaussian, random_partial_symmetric,
-                       SuperSymmetricTensor)
-from tensorpca.cli import WORKERS_ENV
+                       SuperSymmetricTensor, solve_biquadratic,
+                       solve_leading_pc)
 
 
 def write_text(path, body):
@@ -159,6 +162,38 @@ def test_cli_solve_biquadratic_file(tmp_path, capsys):
     assert len(payload["x"]) == 3 and len(payload["y"]) == 4
 
 
+@pytest.mark.parametrize("route", ["order 3", "order 4", "biquadratic", "cli"])
+def test_method_is_honoured_on_every_route(route, tmp_path, monkeypatch,
+                                           capsys):
+    rng = np.random.default_rng(0)
+    G = random_partial_symmetric(2, 3, 0)
+    path = str(tmp_path / "p.tensor")
+    write_tensor(path, G, "partial_symmetric")
+    run = {
+        "order 3": lambda method: solve_leading_pc(
+            rng.standard_normal((2, 3, 2)), method),
+        "order 4": lambda method: solve_leading_pc(
+            rng.standard_normal((2, 2, 2, 2)), method),
+        "biquadratic": lambda method: solve_biquadratic(G, method),
+        "cli": lambda method: main(["solve", path, "--method", method,
+                                    "--json"]),
+    }[route]
+    shrink = admm.shrink_nuclear
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shrink(*args)
+
+    monkeypatch.setattr(admm, "shrink_nuclear", counted)
+    for method in ("nnp", "sdp"):
+        calls.clear()
+        run(method)
+        assert bool(calls) == (method == "nnp"), method
+        if route == "cli":
+            assert json.loads(capsys.readouterr().out)["method"] == method
+
+
 def test_cli_solve_uses_fallback_exit_code(tmp_path, capsys):
     # a generic 4-way array has a two-sided sign symmetry, so the stacked
     # relaxation lands on a flat face and the certificate fails by design
@@ -232,25 +267,43 @@ def test_cli_experiment_writes_csv(tmp_path, capsys):
     assert stdout[0] == ",".join(CSV_COLUMNS)
     assert stdout[1].split(",")[0] == "2x3"
 
+    code = main(["experiment", "--family", "biquadratic", "--n", "4", "--m",
+                 "4", "--trials", "2", "--method", "both"])
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["4x4", "nnp", "2"], ["4x4", "sdp", "2"]]
+    assert all(row[7] == "0" for row in rows)
+
 
 def strip_wall_time(rows):
     return [{k: v for k, v in row.items() if k != "mean_wall_time"}
             for row in rows]
 
 
-def test_experiment_rows_are_reproducible(monkeypatch):
+def test_experiment_rows_are_reproducible():
     spec = ExperimentSpec(sizes=(3,), trials=4, methods=("nnp", "sdp"),
                           seed_base=11)
-    monkeypatch.setenv(WORKERS_ENV, "1")
-    serial = run_experiment(spec)
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    threaded = run_experiment(spec)
-    assert strip_wall_time(serial) == strip_wall_time(threaded)
-    assert all(row["rank_one_count"] == 4 for row in serial)
+    first = run_experiment(spec)
+    assert strip_wall_time(first) == strip_wall_time(run_experiment(spec))
+    assert all(row["rank_one_count"] == 4 for row in first)
 
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    with pytest.raises(ValueError):
-        run_experiment(spec)
+
+def test_experiment_logs_a_failed_trial(monkeypatch, caplog):
+    draw = cli.random_gaussian
+
+    def fail_at_seed_12(n, m, seed):
+        if seed == 12:
+            raise RuntimeError("no instance for seed 12")
+        return draw(n, m, seed)
+
+    monkeypatch.setattr(cli, "random_gaussian", fail_at_seed_12)
+    spec = ExperimentSpec(sizes=(2,), trials=3, seed_base=11)
+    with caplog.at_level(logging.DEBUG, logger="tensorpca.cli"):
+        (row,) = run_experiment(spec)
+    assert row["failed"] == 1
+    assert row["rank_one_count"] <= 2 and math.isfinite(row["mean_iter"])
+    assert [str(r.exc_info[1]) for r in caplog.records if r.exc_info] \
+        == ["no instance for seed 12"]
 
 
 def test_experiment_spec_validation():
@@ -260,8 +313,5 @@ def test_experiment_spec_validation():
         ExperimentSpec(sizes=(3,), trials=1, family="cubic")
     with pytest.raises(ValueError):
         ExperimentSpec(sizes=(3,), trials=1, methods=("admm",))
-    with pytest.raises(ValueError):
-        ExperimentSpec(sizes=((2, 2),), trials=1, methods=("nnp",),
-                       family="biquadratic")
     with pytest.raises(ValueError):
         ExperimentSpec(sizes=(2, 3), trials=1, family="biquadratic")

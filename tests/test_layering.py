@@ -1,9 +1,10 @@
 """The package imports only downward, and only at module level.
 
-Layers, lowest first: tensors, then matricize / projection, then admm,
-extraction, extensions, and io / cli on top.  A module may import from its
-own layer or a lower one.  An import inside a function body hides a cycle,
-so none is allowed.
+Layers, lowest first: tensors, then matricize / projection / oracle, then
+admm, extraction, extensions, and io / cli on top.  A module may import from
+its own layer or a lower one.  An import inside a function body hides a
+cycle, so none is allowed.  The oracle checks the solvers, so it shares no
+code with them: it imports `tensors` only.
 """
 
 import ast
@@ -16,9 +17,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / PACKAGE
 
 LAYERS = (
     ("tensors",),
-    ("matricize", "projection", "instances"),
+    ("matricize", "projection", "instances", "oracle"),
     ("admm",),
-    ("extraction", "oracle"),
+    ("extraction",),
     ("extensions",),
     ("io", "cli"),
     ("__init__",),
@@ -69,3 +70,9 @@ def test_no_package_import_inside_a_function(module):
                 for inner in ast.walk(node)
                 for target in package_imports(inner)]
     assert not deferred, f"{module} imports inside a function: {deferred}"
+
+
+def test_oracle_imports_only_tensors():
+    imported = {target for node in ast.walk(parse("oracle"))
+                for target in package_imports(node)}
+    assert imported == {"tensors"}, imported
