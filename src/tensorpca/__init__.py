@@ -12,19 +12,18 @@ from .tensors import (SuperSymmetricTensor, canonical_index, class_size,
                       eval_multilinear, eval_homogeneous, rank_one, inner,
                       identity_power, random_gaussian, random_uniform)
 from .matricize import (matr, matr_inv, vect, vect_inv, is_super_symmetric,
-                        is_partial_symmetric, rank_one_ratio, matr_partial,
-                        mode_n_unfold)
+                        is_partial_symmetric, partial_symmetrize,
+                        rank_one_ratio, matr_partial, mode_n_unfold)
 from .projection import (alpha, project_C, project_partial_C, shrink_nuclear,
                          project_psd)
 from .admm import SolverConfig, SolveReport, neg_eig_mass, solve_nnp, solve_sdp
 from .extraction import (PrincipalComponent, NotRankOne, MultilinearComponent,
                          MbiResult, extract, mbi_refine, deflate)
-from .extensions import (BiquadraticComponent, partial_symmetrize,
-                         random_partial_symmetric, solve_biquadratic,
-                         trilinear_to_biquadratic, quadrilinear_to_biquadratic,
-                         multilinear_embed, odd_to_even, solve_trilinear,
-                         solve_quadrilinear, solve_multilinear,
-                         solve_leading_pc)
+from .extensions import (BiquadraticComponent, random_partial_symmetric,
+                         solve_biquadratic, trilinear_to_biquadratic,
+                         quadrilinear_to_biquadratic, multilinear_embed,
+                         odd_to_even, solve_trilinear, solve_quadrilinear,
+                         solve_multilinear, solve_leading_pc)
 from .oracle import OracleResult, sphere_grid_max, kkt_project, multistart_local
 from .io import (FORMAT_VERSION, TensorFileError, LoadedTensor, read_tensor,
                  write_tensor)

@@ -100,22 +100,18 @@ def run_admm(project_feasible, y_update, Y0: np.ndarray, cfg: SolverConfig):
 
     project_feasible maps Y + mu*Lam back onto the affine block; y_update
     maps (X, Lam) to the next spectral block.  Stops when
-    ||X_k - X_{k-1}||_F / ||X_{k-1}||_F + ||X_k - Y_k||_F <= tol, with the
-    relative change read as absolute on the first pass (there is no
-    previous iterate).  Returns (X, Y, iterations, rel_change, primal,
-    converged).
+    ||X_k - X_{k-1}||_F / ||X_{k-1}||_F + ||X_k - Y_k||_F <= tol, with
+    X_0 = Y0.  Every X_{k-1} has trace one, so the denominator is at least
+    1/sqrt(N).  Returns (X, Y, iterations, rel_change, primal, converged).
     """
-    Y = Y0
+    Y = X_prev = Y0
     Lam = np.zeros_like(Y0)
-    X_prev = None
     rel = primal = np.inf
     for iteration in range(1, cfg.max_iter + 1):
         X = project_feasible(Y + cfg.mu * Lam)
         Y = y_update(X, Lam)
         Lam = Lam - (X - Y) / cfg.mu
-        diff = X if X_prev is None else X - X_prev
-        denom = 1.0 if X_prev is None else float(np.linalg.norm(X_prev))
-        rel = float(np.linalg.norm(diff)) / (denom if denom > 0.0 else 1.0)
+        rel = float(np.linalg.norm(X - X_prev)) / float(np.linalg.norm(X_prev))
         primal = float(np.linalg.norm(X - Y))
         if rel + primal <= cfg.tol:
             return X, Y, iteration, rel, primal, True

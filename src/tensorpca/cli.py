@@ -72,6 +72,11 @@ class ExperimentSpec:
             for size in self.sizes:
                 if not isinstance(size, (tuple, list)) or len(size) != 2:
                     raise ValueError("biquadratic sizes are (n, m) pairs")
+            dims = [v for size in self.sizes for v in size]
+        else:
+            dims = [*self.sizes, self.d]
+        if min(dims, default=1) < 1:
+            raise ValueError("n, m and d must be at least 1")
 
 
 def _symmetric_trial(n: int, d: int, method: str, cfg: SolverConfig, seed: int):

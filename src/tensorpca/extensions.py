@@ -16,7 +16,7 @@ import numpy as np
 from .admm import Relaxation, SolverConfig, solve
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import MultilinearComponent, PrincipalComponent, solve_even_order
-from .matricize import _check_biquadratic_shape, matr_partial
+from .matricize import matr_partial, partial_symmetrize
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_partial_C
 from .projection import project_psd  # noqa: F401  lookup site in benchmarks/tracer.py
@@ -26,7 +26,6 @@ from .tensors import (SuperSymmetricTensor, _canonical_sign, _finite_array,
 
 __all__ = [
     "BiquadraticComponent",
-    "partial_symmetrize",
     "random_partial_symmetric",
     "solve_biquadratic",
     "trilinear_to_biquadratic",
@@ -46,19 +45,6 @@ class BiquadraticComponent:
     x_star: np.ndarray
     y_star: np.ndarray
     certified: bool
-
-
-def partial_symmetrize(t: np.ndarray) -> np.ndarray:
-    """Average over the 4-element orbit {e, (02), (13), (02)(13)}.
-
-    Averaged one generator at a time so the result is bitwise invariant
-    under both swaps (float addition commutes even though it does not
-    associate).
-    """
-    t = np.asarray(t, dtype=float)
-    _check_biquadratic_shape(t)
-    t = 0.5 * (t + t.transpose(2, 1, 0, 3))
-    return 0.5 * (t + t.transpose(0, 3, 2, 1))
 
 
 def random_partial_symmetric(n: int, m: int, seed: int) -> np.ndarray:

@@ -5,6 +5,12 @@ indices into a leading and a trailing half, each enumerated in row-major
 order; vectorization enumerates all indices row-major.  Both are therefore
 plain C-order reshapes, which the tests cross-check against the explicit
 index formulas.
+
+Each symmetry is averaged in one place: over permutation classes with
+`tensors._class_table` (as `tensors.symmetrize` and `is_super_symmetric`
+do), and over the swaps of modes (0, 2) and (1, 3) with
+`partial_symmetrize`, next to `is_partial_symmetric` and `matr_partial`.
+The trace-one projections in `projection` average with these.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "vect_inv",
     "is_super_symmetric",
     "is_partial_symmetric",
+    "partial_symmetrize",
     "rank_one_ratio",
     "matr_partial",
     "mode_n_unfold",
@@ -134,6 +141,19 @@ def is_partial_symmetric(g: np.ndarray, tol: float = 1e-12):
     violation = max(float(np.max(np.abs(g - g.transpose(2, 1, 0, 3)))),
                     float(np.max(np.abs(g - g.transpose(0, 3, 2, 1)))))
     return violation <= tol, violation
+
+
+def partial_symmetrize(t: np.ndarray) -> np.ndarray:
+    """Average over the 4-element orbit {e, (02), (13), (02)(13)}.
+
+    The orthogonal projection onto the partial-symmetric arrays.  Averaged
+    one generator at a time so the result is bitwise invariant under both
+    swaps (float addition commutes even though it does not associate).
+    """
+    t = np.asarray(t, dtype=float)
+    _check_biquadratic_shape(t)
+    t = 0.5 * (t + t.transpose(2, 1, 0, 3))
+    return 0.5 * (t + t.transpose(0, 3, 2, 1))
 
 
 def matr_partial(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -3,7 +3,9 @@
 Three operators: projection onto the trace-one symmetric affine set,
 singular-value shrinkage, and projection onto the PSD cone.  A fourth
 variant projects onto the trace-one partial-symmetric set used by the
-bi-quadratic solver.
+bi-quadratic solver.  Both affine projections are one formula: average
+over the symmetry, then shift along the averaged identity until the trace
+is one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensors import _class_table, enumerate_signatures, multinomial
+from .matricize import partial_symmetrize
+from .tensors import _class_table, multinomial
 
 __all__ = [
     "alpha",
@@ -33,32 +36,26 @@ def alpha(k, d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _projection_tables(n: int, d: int):
-    """Constants for project_C at a given (n, d).
+def _trace_classes(n: int, d: int):
+    """(diag, ibar, tr ibar) for project_C at a given (n, d).
 
-    For each signature k summing to d: the class id of the even-diagonal
-    index (each j repeated 2*k_j), the multinomial weight d!/prod(k_j!),
-    and alpha(k, d).
+    diag[c] counts the diagonal positions of the n**d x n**d matrix in
+    class c, and ibar = diag/counts is the identity averaged over each
+    class: matr(identity_power(n, d)), alpha(k, d) on the even-diagonal
+    classes and zero elsewhere.
     """
-    lookup = {key: c for c, key in enumerate(_class_table(n, 2 * d)[0])}
-    diag_ids, weights, alphas = [], [], []
-    for k in enumerate_signatures(n, d):
-        key = tuple(j for j in range(n) for _ in range(2 * k[j]))
-        diag_ids.append(lookup[key])
-        weights.append(multinomial(d, k))
-        alphas.append(alpha(k, d))
-    return (np.asarray(diag_ids), np.asarray(weights, dtype=float),
-            np.asarray(alphas, dtype=float))
+    keys, class_id, counts = _class_table(n, 2 * d)
+    diag = np.bincount(class_id[::n ** d + 1], minlength=len(keys)).astype(float)
+    ibar = diag / counts
+    return diag, ibar, float(diag @ ibar)
 
 
 def project_C(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     """Nearest matrix to Z whose tensor is symmetric with unit trace.
 
-    Computed in canonical tensor coordinates: class-average Z, then correct
-    the even-diagonal classes (indices where every value occurs an even
-    number of times) by (lambda/2) * alpha(k, d), with lambda chosen in
-    closed form so the trace is one.  Off-diagonal classes are the class
-    averages unchanged.
+    X = P(Z) + (1 - tr P(Z)) / tr P(I) * P(I), with P the class average
+    (the orthogonal projector onto the symmetric tensors) and P(I) the
+    averaged identity.  Computed on one value per permutation class.
     """
     Z = np.asarray(Z, dtype=float)
     size = n ** d
@@ -66,10 +63,8 @@ def project_C(Z: np.ndarray, n: int, d: int) -> np.ndarray:
         raise ValueError(f"expected a {size}x{size} matrix, got {Z.shape}")
     keys, class_id, counts = _class_table(n, 2 * d)
     zbar = np.bincount(class_id, weights=Z.ravel(), minlength=len(keys)) / counts
-    diag_ids, weights, alphas = _projection_tables(n, d)
-    lam = 2.0 * (1.0 - float(weights @ zbar[diag_ids])) / float(weights @ alphas)
-    xvals = zbar.copy()
-    xvals[diag_ids] += 0.5 * lam * alphas
+    diag, ibar, ibar_trace = _trace_classes(n, d)
+    xvals = zbar + (1.0 - float(diag @ zbar)) / ibar_trace * ibar
     return xvals[class_id].reshape(size, size)
 
 
@@ -101,25 +96,15 @@ def project_psd(M: np.ndarray) -> np.ndarray:
 def project_partial_C(Z: np.ndarray, n: int, m: int) -> np.ndarray:
     """Nearest nm x nm matrix whose tensor is partial-symmetric with unit trace.
 
-    Derivation: the feasible set is {x : x in V, c.x = 1} with V the
-    partial-symmetric subspace and c the indicator of the (i,j,i,j)
-    positions (the matrix diagonal).  Writing P for the orthogonal
-    projector onto V, the KKT conditions give
-        x = P(z) + nu * P(c),  nu = (1 - c.P(z)) / (c.P(c)).
-    P averages each entry over its 4-element orbit {e, (13), (24),
-    (13)(24)}; every (i,j,i,j) position is a fixed point of that group, so
-    P(c) = c and c.c = nm.  Hence: orbit-average, then shift the diagonal
-    uniformly by (1 - trace)/(nm).
+    The same formula as project_C, X = P(Z) + (1 - tr P(Z)) / tr P(I) * P(I),
+    with P = partial_symmetrize.  Every diagonal position (i, j, i, j) is
+    fixed by both swaps, so P(I) = I and the shift is uniform: average,
+    then move the diagonal by (1 - trace)/(nm).
     """
     Z = np.asarray(Z, dtype=float)
-    if Z.shape != (n * m, n * m):
-        raise ValueError(f"expected a {n * m}x{n * m} matrix, got {Z.shape}")
-    t = Z.reshape(n, m, n, m)
-    avg = 0.5 * (t + t.transpose(2, 1, 0, 3))
-    avg = 0.5 * (avg + avg.transpose(0, 3, 2, 1))
-    out = avg.copy()
-    shift = (1.0 - float(np.einsum("ijij->", avg))) / (n * m)
-    i = np.arange(n)[:, None]
-    j = np.arange(m)[None, :]
-    out[i, j, i, j] += shift
-    return out.reshape(n * m, n * m)
+    size = n * m
+    if Z.shape != (size, size):
+        raise ValueError(f"expected a {size}x{size} matrix, got {Z.shape}")
+    X = partial_symmetrize(Z.reshape(n, m, n, m)).reshape(size, size)
+    X.flat[::size + 1] += (1.0 - float(np.trace(X))) / size
+    return X

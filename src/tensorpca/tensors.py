@@ -148,7 +148,11 @@ class SuperSymmetricTensor:
         self._dense = None
 
     def __getitem__(self, idx) -> float:
-        return self._values.get(canonical_index(idx, self.n), 0.0)
+        key = canonical_index(idx, self.n)
+        if len(key) != self.m:
+            raise ValueError(f"index {tuple(idx)} has {len(key)} components, "
+                             f"expected {self.m}")
+        return self._values.get(key, 0.0)
 
     def items(self) -> Iterator:
         """Iterate (canonical index, value) over stored classes."""

@@ -103,6 +103,18 @@ def test_iter_cap_is_reported():
     assert report.iterations == 3
 
 
+def test_first_change_is_measured_from_the_start_point():
+    # the start Y0 is e_p e_p^T at the best coordinate direction, and the
+    # first relative change is ||X_1 - Y0||_F / ||Y0||_F with ||Y0||_F = 1
+    F = random_gaussian(4, 4, 2)
+    best = max(range(4), key=lambda i: F[(i,) * 4])
+    p = int(np.ravel_multi_index((best, best), (4, 4)))
+    Y0 = np.zeros((16, 16))
+    Y0[p, p] = 1.0
+    report = solve_sdp(F, SolverConfig(max_iter=1))
+    assert report.rel_change == float(np.linalg.norm(report.X - Y0))
+
+
 def test_penalty_bound_holds_at_termination():
     # the penalized objective at the solution dominates the best coordinate
     # direction minus the penalty

@@ -315,3 +315,20 @@ def test_experiment_spec_validation():
         ExperimentSpec(sizes=(3,), trials=1, methods=("admm",))
     with pytest.raises(ValueError):
         ExperimentSpec(sizes=(2, 3), trials=1, family="biquadratic")
+    # sizes that no trial can solve
+    with pytest.raises(ValueError):
+        ExperimentSpec(sizes=(0,), trials=2)
+    with pytest.raises(ValueError):
+        ExperimentSpec(sizes=(3,), trials=1, d=0)
+    with pytest.raises(ValueError):
+        ExperimentSpec(sizes=((0, 3),), trials=1, family="biquadratic")
+    with pytest.raises(ValueError):
+        ExperimentSpec(sizes=((3, 0),), trials=1, family="biquadratic")
+
+
+def test_cli_experiment_rejects_unsolvable_sizes(capsys):
+    for args in (["--n", "0", "--trials", "2"], ["--n", "3", "--d", "0"],
+                 ["--family", "biquadratic", "--n", "0", "--m", "3"]):
+        assert main(["experiment", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""

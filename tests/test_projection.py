@@ -2,10 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tensorpca import (alpha, project_C, project_partial_C, shrink_nuclear,
                        project_psd, matr, matr_inv, rank_one,
-                       is_super_symmetric, is_partial_symmetric, kkt_project)
+                       is_super_symmetric, is_partial_symmetric, kkt_project,
+                       enumerate_signatures, identity_power)
+from tensorpca.projection import _trace_classes
+from tensorpca.tensors import _class_table
 
 
 def kkt_project_partial(Z, n, m):
@@ -93,6 +98,62 @@ def test_project_C_agrees_with_kkt_reference():
             Z = rng.standard_normal((n**d, n**d))
             np.testing.assert_allclose(project_C(Z, n, d),
                                        kkt_project(Z, n, d), atol=1e-8)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (4, 1), (2, 2), (3, 2), (5, 2),
+                                  (3, 3), (4, 3)])
+def test_averaged_identity_is_identity_power(n, d):
+    # spread over (n,)*2d the cached vector is the tensor of (x.x)**d, and on
+    # each even-diagonal class it is the paper's alpha(k, d)
+    keys, class_id, _ = _class_table(n, 2 * d)
+    diag, ibar, ibar_trace = _trace_classes(n, d)
+    size = n ** d
+    np.testing.assert_array_equal(ibar[class_id].reshape(size, size),
+                                  matr(identity_power(n, d)))
+    even = {}
+    for k in enumerate_signatures(n, d):
+        key = tuple(j for j in range(n) for _ in range(2 * k[j]))
+        even[keys.index(key)] = alpha(k, d)
+    assert {c: ibar[c] for c in even} == even
+    assert not np.any(np.delete(ibar, list(even)))
+    assert ibar_trace == pytest.approx(float(np.trace(matr(identity_power(n, d)))))
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def symmetric_case(draw):
+    # d = 1 up to n = 10 and d = 3 up to n = 3; kkt_project at n = 4, d = 3
+    # builds a 4096-unknown dense system and takes tens of seconds
+    d = draw(st.sampled_from((1, 3)))
+    n = draw(st.integers(1, 10 if d == 1 else 3))
+    Z = draw(arrays(float, (n ** d, n ** d), elements=finite))
+    return Z, n, d
+
+
+@st.composite
+def partial_case(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return draw(arrays(float, (n * m, n * m), elements=finite)), n, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_case())
+def test_project_C_property(case):
+    Z, n, d = case
+    X = project_C(Z, n, d)
+    np.testing.assert_allclose(X, kkt_project(Z, n, d), atol=1e-8)
+    assert np.max(np.abs(project_C(X, n, d) - X)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(partial_case())
+def test_project_partial_C_property(case):
+    Z, n, m = case
+    X = project_partial_C(Z, n, m)
+    np.testing.assert_allclose(X, kkt_project_partial(Z, n, m), atol=1e-8)
+    assert np.max(np.abs(project_partial_C(X, n, m) - X)) <= 1e-12
 
 
 def test_shrink_nuclear_diagonal_example():

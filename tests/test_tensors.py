@@ -60,6 +60,9 @@ def test_tensor_getitem_is_permutation_invariant():
         assert F[perm] == 5.0
     assert F[1, 0, 0] == -2.0
     assert F[2, 2, 2] == 0.0  # absent class reads as zero
+    for wrong_length in ((0, 1), (0, 1, 2, 2, 1)):
+        with pytest.raises(ValueError):
+            F[wrong_length]
 
 
 def test_tensor_rejects_bad_entries():
