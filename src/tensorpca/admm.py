@@ -38,7 +38,8 @@ class SolverConfig:
     rho is the nuclear-norm penalty weight (penalized model only), mu the
     splitting parameter, tol the stopping threshold on relative change plus
     primal residual, rank_tol the rank-one certification threshold on
-    sigma_2/sigma_1, and seed feeds any randomized post-processing.
+    sigma_2/sigma_1, and seed draws the random restarts of the block-ascent
+    fallbacks that run when a solve is not certified.
     """
     rho: float = 10.0
     mu: float = 0.5

@@ -85,7 +85,7 @@ def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
             w, V = np.linalg.eigh(0.5 * (My + My.T))
             y = V[:, -1]
             value = biquadratic_form(g, x, y)
-            if abs(value - previous) <= tol * max(1.0, abs(previous)):
+            if abs(value - previous) <= tol * abs(previous):
                 break
         if best is None or value > best[0]:
             best = (value, x, y)

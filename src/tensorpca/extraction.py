@@ -129,7 +129,7 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
                 continue
             xs[j] = g / norm_g
             value = norm_g
-        if abs(value - previous) <= tol * max(1.0, abs(previous)):
+        if abs(value - previous) <= tol * abs(previous):
             converged = True
             break
 
@@ -140,33 +140,18 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
     return MbiResult(best, homogeneous(best), sweeps, converged)
 
 
-def _is_coquadratic_psd(t: np.ndarray, probes: int = 100, seed: int = 0,
-                        tol: float = 1e-8) -> bool:
-    # pairwise-repeated arguments must give a nonnegative multilinear value
-    rng = np.random.default_rng(seed)
-    n, m = t.shape[0], t.ndim
-    d = m // 2
-    scale = max(1.0, float(np.max(np.abs(t))))
-    for _ in range(probes):
-        half = [_unit(rng.standard_normal(n)) for _ in range(d)]
-        xs = [v for v in half for _ in range(2)]
-        if eval_multilinear(t, xs) < -tol * scale:
-            return False
-    return True
-
-
-def _refine_not_rank_one(F: SuperSymmetricTensor, X: np.ndarray, x0: np.ndarray,
+def _refine_not_rank_one(F: SuperSymmetricTensor, x0: np.ndarray,
                          restarts: int, seed: int) -> np.ndarray:
     """Fallback for an uncertified solve: block ascent plus random restarts.
 
-    The ascent target is the solution tensor when it passes the co-quadratic
-    PSD probes (then its multilinear and homogeneous optima agree); the
-    shifted original form is used otherwise.
+    The ascent runs on F + (||F||_F / 4) (x.x)^(m/2), which on the sphere is
+    F's form plus a constant, so the argmax is F's.  The shift scales with
+    F, so F and sF give the same x.  It starts from x0 and from `restarts`
+    unit vectors drawn with `seed`; the start whose result has the largest
+    F value wins.
     """
     n, m = F.n, F.m
-    target = matr_inv(X, n, m // 2)
-    if not _is_coquadratic_psd(target, seed=seed):
-        target = (F + 6.0 * identity_power(n, m // 2)).to_dense()
+    target = (F + (F.norm() / 4.0) * identity_power(n, m // 2)).to_dense()
     starts = [x0]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
@@ -194,7 +179,7 @@ def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
     report = solver(F, cfg)
     pc = extract(F, report)
     if isinstance(pc, NotRankOne):
-        x = _refine_not_rank_one(F, report.X, report.extracted_x,
-                                 restarts=5, seed=cfg.seed)
+        x = _refine_not_rank_one(F, report.extracted_x, restarts=5,
+                                 seed=cfg.seed)
         pc = PrincipalComponent(eval_homogeneous(F, x), x, False)
     return pc, report

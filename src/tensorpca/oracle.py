@@ -119,11 +119,12 @@ def kkt_project(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     plus the trace row as a dense system A x = b and applies the standard
     equality-constrained least-distance correction
     x = z - A^T (A A^T)^(-1) (A z - b).  Reference implementation for the
-    closed-form projection; sizes are guarded to keep the dense system small.
+    closed-form projection.  The system has N^2 unknowns (N = n^d), so N is
+    capped at 36 to keep it small.
     """
     N = n**d
-    if N > 100:
-        raise ValueError(f"dense KKT system too large for n^d = {N}")
+    if N > 36:
+        raise ValueError(f"dense KKT system too large: {N * N} unknowns")
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (N, N):
         raise ValueError(f"expected shape {(N, N)}, got {Z.shape}")

@@ -10,6 +10,7 @@ from tensorpca import (partial_symmetrize, is_partial_symmetric,
                        solve_quadrilinear, solve_multilinear, solve_leading_pc,
                        eval_multilinear, eval_homogeneous, random_gaussian,
                        rank_one, SolverConfig, matr_partial)
+from tensorpca.extensions import _mbi_biquadratic, biquadratic_form
 
 
 def unit(x):
@@ -282,6 +283,17 @@ def test_solve_biquadratic_report_consistency():
     # value agree to a few digits beyond the extraction tolerance
     assert report.objective == pytest.approx(comp.lambda_star, abs=1e-4)
     assert float(np.trace(report.X)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e3])
+def test_biquadratic_ascent_is_scale_invariant(s):
+    rng = np.random.default_rng(22)
+    G = quadrilinear_to_biquadratic(rng.standard_normal((3, 3, 3, 3)))
+    x0, y0 = unit(rng.standard_normal(6)), unit(rng.standard_normal(6))
+    x, y = _mbi_biquadratic(G, x0, y0, restarts=5, seed=0)
+    xs, ys = _mbi_biquadratic(s * G, x0, y0, restarts=5, seed=0)
+    assert biquadratic_form(s * G, xs, ys) / s == pytest.approx(
+        biquadratic_form(G, x, y), rel=1e-12)
 
 
 def test_solve_biquadratic_input_checks():

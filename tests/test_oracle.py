@@ -83,6 +83,8 @@ def test_kkt_project_size_guard():
     with pytest.raises(ValueError):
         kkt_project(np.zeros((243, 243)), 3, 5)
     with pytest.raises(ValueError):
+        kkt_project(np.zeros((64, 64)), 4, 3)
+    with pytest.raises(ValueError):
         kkt_project(np.zeros((4, 5)), 2, 2)
 
 

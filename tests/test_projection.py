@@ -124,8 +124,8 @@ finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def symmetric_case(draw):
-    # d = 1 up to n = 10 and d = 3 up to n = 3; kkt_project at n = 4, d = 3
-    # builds a 4096-unknown dense system and takes tens of seconds
+    # d = 1 up to n = 10 and d = 3 up to n = 3; kkt_project refuses n = 4,
+    # d = 3, whose dense system has 4096 unknowns
     d = draw(st.sampled_from((1, 3)))
     n = draw(st.integers(1, 10 if d == 1 else 3))
     Z = draw(arrays(float, (n ** d, n ** d), elements=finite))
