@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matricize import _rank_one_eig, _recover_x, matr
+from .matricize import _leading_factors, _rank_one_eig, matr
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_C, project_psd, shrink_nuclear
 from .tensors import SuperSymmetricTensor, _fix_sign, eval_homogeneous
@@ -146,6 +146,8 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
     objective tr(CX) - rho*||X||_*.  Multiplier: Lam <- Lam - (X - Y)/mu.
     """
     C = problem.C
+    if not C.any():
+        raise ValueError("zero tensor is degenerate")
     if method == "sdp":
         def y_update(X, Lam):
             return project_psd(X + cfg.mu * C - cfg.mu * Lam)
@@ -166,8 +168,6 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
         raise TypeError("solver input must be a SuperSymmetricTensor")
     if F.m % 2:
         raise ValueError("solvers need an even order; square odd orders first")
-    if all(v == 0.0 for _, v in F.items()):
-        raise ValueError("zero tensor is degenerate")
     n, d = F.n, F.m // 2
     # feasible rank-one start at the best coordinate direction
     best = max(range(n), key=lambda i: F[(i,) * F.m])
@@ -178,9 +178,8 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
 
 
 def _recover_symmetric(F: SuperSymmetricTensor, report: SolveReport) -> SolveReport:
-    # x is the dominant direction of the leading eigenvector's order-d
-    # reshape, signed by the form, and lambda = F(x)
-    x = _fix_sign(F, _recover_x(report.extracted_x, F.n, F.m // 2))
+    # x: the leading eigenvector's left factor, signed by the form; lambda = F(x)
+    x = _fix_sign(F, _leading_factors(report.extracted_x, F.n)[0])
     return replace(report, extracted_lambda=eval_homogeneous(F, x), extracted_x=x)
 
 

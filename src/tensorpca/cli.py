@@ -287,16 +287,16 @@ def _cmd_experiment(args) -> int:
 
 
 def _add_cfg_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho", type=float, default=10.0,
+    parser.add_argument("--rho", type=float, default=SolverConfig.rho,
                         help="nuclear-norm penalty weight (nnp only)")
-    parser.add_argument("--mu", type=float, default=0.5,
+    parser.add_argument("--mu", type=float, default=SolverConfig.mu,
                         help="proximal step length")
-    parser.add_argument("--tol", type=float, default=1e-6,
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol,
                         help="stopping tolerance")
-    parser.add_argument("--max-iter", type=int, default=50_000)
-    parser.add_argument("--rank-tol", type=float, default=1e-6,
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    parser.add_argument("--rank-tol", type=float, default=SolverConfig.rank_tol,
                         help="rank-one certification threshold")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=SolverConfig.seed,
                         help="seed for fallback restarts")
 
 

@@ -15,8 +15,9 @@ import numpy as np
 
 from .admm import Relaxation, SolverConfig, solve
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
-from .extraction import MultilinearComponent, PrincipalComponent, solve_even_order
-from .matricize import matr_partial, partial_symmetrize
+from .extraction import (MultilinearComponent, PrincipalComponent,
+                         _ascend_with_restarts, solve_even_order)
+from .matricize import _leading_factors, matr_partial, partial_symmetrize
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_partial_C
 from .projection import project_psd  # noqa: F401  lookup site in benchmarks/tracer.py
@@ -59,22 +60,14 @@ def biquadratic_form(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
-                     restarts: int, seed: int, tol: float = 1e-12,
-                     max_sweeps: int = 1000):
-    """Alternating eigenvector ascent on g(x, y, x, y).
+                     seed: int, tol: float = 1e-12, max_sweeps: int = 1000):
+    """Alternating eigenvector ascent on g(x, y, x, y), with seeded restarts.
 
     With one block fixed the form is a quadratic in the other whose matrix
     is symmetric by partial symmetry, so each update is a leading
     eigenvector and the objective never decreases.
     """
-    n, m = g.shape[0], g.shape[1]
-    rng = np.random.default_rng(seed)
-    starts = [(x0, y0)]
-    for _ in range(restarts):
-        starts.append((_unit(rng.standard_normal(n)), _unit(rng.standard_normal(m))))
-    best = None
-    for x, y in starts:
-        x, y = x.copy(), y.copy()
+    def ascend(x, y):
         value = biquadratic_form(g, x, y)
         for _ in range(max_sweeps):
             previous = value
@@ -87,9 +80,9 @@ def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
             value = biquadratic_form(g, x, y)
             if abs(value - previous) <= tol * abs(previous):
                 break
-        if best is None or value > best[0]:
-            best = (value, x, y)
-    return best[1], best[2]
+        return value, (x, y)
+
+    return _ascend_with_restarts(ascend, (x0, y0), seed)
 
 
 def solve_biquadratic(G: np.ndarray, method: str = "sdp",
@@ -113,8 +106,6 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     cfg = cfg or SolverConfig()
     G = _finite_array(G)
     Gm = matr_partial(G)
-    if not G.any():
-        raise ValueError("zero tensor is degenerate")
     n, m = G.shape[0], G.shape[1]
 
     # feasible rank-one start at the best coordinate pair: Gm[p, p] is
@@ -125,10 +116,9 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
 
     report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
                    method, cfg)
-    u, _, vt = np.linalg.svd(report.extracted_x.reshape(n, m))
-    x, y = _unit(u[:, 0]), _unit(vt[0])
+    x, y = _leading_factors(report.extracted_x, n)
     if not report.certified:
-        x, y = _mbi_biquadratic(G, x, y, restarts=5, seed=cfg.seed)
+        x, y = _mbi_biquadratic(G, x, y, cfg.seed)
     # the form is even in x and in y: every sign is a tie
     x, y = _canonical_sign(x), _canonical_sign(y)
     value = biquadratic_form(G, x, y)

@@ -2,8 +2,9 @@
 
 Reads the rank-one certificate of a solve, refines solutions that miss it
 by block-coordinate ascent, deflates, and runs the even-order step of
-`extensions.solve_leading_pc`: solve, extract, fall back.  This module
-sits above `admm` and below `extensions`.
+`extensions.solve_leading_pc`: solve, extract, fall back.  Both fallbacks
+restart by `_ascend_with_restarts`, best of the read-out point and RESTARTS
+seeded random starts.  This module sits above `admm` and below `extensions`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from . import admm
-from .admm import SolveReport, _recover_symmetric, _summarize
+from .admm import SolveReport, SolverConfig, _recover_symmetric, _summarize
 from .matricize import is_super_symmetric, matr, matr_inv
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .tensors import (SuperSymmetricTensor, _as_dense, _fix_sign, _unit,
@@ -64,7 +65,7 @@ class MbiResult:
     converged: bool
 
 
-def extract(F: SuperSymmetricTensor, solution, rank_tol: float = 1e-6
+def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.rank_tol
             ) -> Union[PrincipalComponent, NotRankOne]:
     """Recover (lambda*, x*) for the even-order F from a solve or a matrix.
 
@@ -140,25 +141,36 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
     return MbiResult(best, homogeneous(best), sweeps, converged)
 
 
+RESTARTS = 5
+
+
+def _ascend_with_restarts(ascend, start, seed: int):
+    # both fallbacks' restart policy: ascend(*blocks) -> (value, result) from
+    # `start` and from RESTARTS tuples of unit blocks, all drawn with `seed`
+    # before any ascent; the largest value wins, the earliest on a tie
+    rng = np.random.default_rng(seed)
+    starts = [start] + [tuple(_unit(rng.standard_normal(b.size)) for b in start)
+                        for _ in range(RESTARTS)]
+    return max((ascend(*blocks) for blocks in starts), key=lambda r: r[0])[1]
+
+
 def _refine_not_rank_one(F: SuperSymmetricTensor, x0: np.ndarray,
-                         restarts: int, seed: int) -> np.ndarray:
+                         seed: int) -> np.ndarray:
     """Fallback for an uncertified solve: block ascent plus random restarts.
 
     The ascent runs on F + (||F||_F / 4) (x.x)^(m/2), which on the sphere is
     F's form plus a constant, so the argmax is F's.  The shift scales with
-    F, so F and sF give the same x.  It starts from x0 and from `restarts`
-    unit vectors drawn with `seed`; the start whose result has the largest
-    F value wins.
+    F, so F and sF give the same x.  It starts from x0 and from the restart
+    policy's random unit vectors; the result with the largest F value wins.
     """
     n, m = F.n, F.m
     target = (F + (F.norm() / 4.0) * identity_power(n, m // 2)).to_dense()
-    starts = [x0]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        starts.append(_unit(rng.standard_normal(n)))
-    candidates = [mbi_refine(target, [s] * m).x for s in starts]
-    best = max(candidates, key=lambda x: eval_homogeneous(F, x))
-    return _fix_sign(F, best)
+
+    def ascend(x):
+        x = mbi_refine(target, [x] * m).x
+        return eval_homogeneous(F, x), x
+
+    return _fix_sign(F, _ascend_with_restarts(ascend, (x0,), seed))
 
 
 def deflate(F: SuperSymmetricTensor, pc: PrincipalComponent) -> SuperSymmetricTensor:
@@ -175,11 +187,12 @@ def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
     plus random restarts, and the component is flagged uncertified.
     """
     # the solvers are looked up on admm, where benchmarks/tracer.py times them
-    solver = admm.solve_nnp if method == "nnp" else admm.solve_sdp
+    solver = {"nnp": admm.solve_nnp, "sdp": admm.solve_sdp}.get(method)
+    if solver is None:
+        raise ValueError(f"unknown method {method!r}")
     report = solver(F, cfg)
     pc = extract(F, report)
     if isinstance(pc, NotRankOne):
-        x = _refine_not_rank_one(F, report.extracted_x, restarts=5,
-                                 seed=cfg.seed)
+        x = _refine_not_rank_one(F, report.extracted_x, cfg.seed)
         pc = PrincipalComponent(eval_homogeneous(F, x), x, False)
     return pc, report

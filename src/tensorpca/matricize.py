@@ -119,14 +119,11 @@ def rank_one_ratio(X: np.ndarray):
     return ratio, (value, vec)
 
 
-def _recover_x(y: np.ndarray, n: int, d: int) -> np.ndarray:
-    # y ~ vect of an order-d rank-one tensor; the dominant left singular
-    # vector of its mode-0 unfolding is robust to small asymmetry
-    if d == 1:
-        return _unit(y)
-    T = y.reshape((n,) * d)
-    u, _, _ = np.linalg.svd(mode_n_unfold(T, 0), full_matrices=False)
-    return _unit(u[:, 0])
+def _leading_factors(v: np.ndarray, rows: int):
+    # unit leading left and right singular vectors of v reshaped to `rows`
+    # rows: the factors of a near rank-one v, robust to small asymmetry
+    u, _, vt = np.linalg.svd(np.reshape(v, (rows, -1)), full_matrices=False)
+    return _unit(u[:, 0]), _unit(vt[0])
 
 
 def _check_biquadratic_shape(g: np.ndarray) -> None:

@@ -275,13 +275,14 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
 
 
 def _fix_sign(f, x: np.ndarray) -> np.ndarray:
-    # sign rule for a symmetric form f(x, ..., x): the larger value wins; on
-    # a tie (every even order) the largest-magnitude entry is made positive
+    # sign rule for a symmetric form: the larger of f(x), f(-x) wins, on a tie
+    # the largest-magnitude entry is made positive.  Negation is exact, so
+    # f(-x) = f(x) at even order (a tie) and f(-x) = -f(x) at odd order
     m = _as_dense(f).ndim
-    plus, minus = eval_multilinear(f, [x] * m), eval_multilinear(f, [-x] * m)
-    if minus == plus:
+    value = eval_multilinear(f, [x] * m) if m % 2 else 0.0
+    if value == 0.0:
         return _canonical_sign(x)
-    return -x if minus > plus else x
+    return -x if value < 0 else x
 
 
 def _fix_last_sign(f, xs: Sequence[np.ndarray]):

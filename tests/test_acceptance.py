@@ -6,9 +6,7 @@ examples are computed once per module and shared by the criteria that
 inspect the same solves.
 """
 
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,9 +27,7 @@ RHO = 10.0
 
 
 def pool_map(fn, tasks):
-    workers = min(os.cpu_count() or 1, 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    return list(map(fn, tasks))
 
 
 def component_error(x, reference):

@@ -290,8 +290,8 @@ def test_biquadratic_ascent_is_scale_invariant(s):
     rng = np.random.default_rng(22)
     G = quadrilinear_to_biquadratic(rng.standard_normal((3, 3, 3, 3)))
     x0, y0 = unit(rng.standard_normal(6)), unit(rng.standard_normal(6))
-    x, y = _mbi_biquadratic(G, x0, y0, restarts=5, seed=0)
-    xs, ys = _mbi_biquadratic(s * G, x0, y0, restarts=5, seed=0)
+    x, y = _mbi_biquadratic(G, x0, y0, seed=0)
+    xs, ys = _mbi_biquadratic(s * G, x0, y0, seed=0)
     assert biquadratic_form(s * G, xs, ys) / s == pytest.approx(
         biquadratic_form(G, x, y), rel=1e-12)
 

@@ -8,8 +8,8 @@ from tensorpca import (PrincipalComponent, NotRankOne, extract, mbi_refine,
                        deflate, solve_leading_pc, SolverConfig,
                        SuperSymmetricTensor, rank_one, random_gaussian,
                        eval_homogeneous, matr, inner, multistart_local, main,
-                       write_tensor)
-from tensorpca.extraction import _refine_not_rank_one
+                       symmetrize, write_tensor)
+from tensorpca.extraction import _refine_not_rank_one, solve_even_order
 
 
 def unit(x):
@@ -132,6 +132,8 @@ def test_solve_leading_pc_even_and_odd():
 def test_solve_leading_pc_routing_errors():
     with pytest.raises(ValueError):
         solve_leading_pc(random_gaussian(3, 4, 0), "cvx")
+    with pytest.raises(ValueError, match="unknown method"):
+        solve_even_order(random_gaussian(3, 4, 0), "bogus", SolverConfig())
     with pytest.raises(ValueError):
         solve_leading_pc(np.zeros((2, 2, 2, 2, 2)))
     bad = np.ones((2, 2, 2, 2))
@@ -151,7 +153,7 @@ def test_iter_cap_is_never_certified(tmp_path):
     assert report.termination == "iter_cap"
     assert not report.certified
     assert not pc.certified
-    x = _refine_not_rank_one(F, report.extracted_x, restarts=5, seed=cfg.seed)
+    x = _refine_not_rank_one(F, report.extracted_x, seed=cfg.seed)
     assert pc.lambda_star == eval_homogeneous(F, x)
     # the fallback reaches the certified optimum, flagged uncertified
     converged, _ = solve_leading_pc(F, "sdp")
@@ -191,7 +193,32 @@ def scaled_case(draw):
 @given(scaled_case())
 def test_fallback_is_scale_invariant(case):
     F, x0, s = case
-    lam = eval_homogeneous(F, _refine_not_rank_one(F, x0, 5, 0))
+    lam = eval_homogeneous(F, _refine_not_rank_one(F, x0, 0))
     sF = s * F
-    lam_s = eval_homogeneous(sF, _refine_not_rank_one(sF, x0, 5, 0))
+    lam_s = eval_homogeneous(sF, _refine_not_rank_one(sF, x0, 0))
     assert lam_s == pytest.approx(s * lam, rel=1e-12)
+
+
+@st.composite
+def rotated_case(draw):
+    # order 4 up to n = 4 and order 6 up to n = 3; Q orthogonal from a QR
+    m = draw(st.sampled_from((4, 6)))
+    n = draw(st.integers(1, 4 if m == 4 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    t = rng.standard_normal((n,) * m)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    rotated = t
+    for _ in range(m):  # Q on every mode: rotated(y, ..., y) = t(Qy, ..., Qy)
+        rotated = np.tensordot(rotated, Q, axes=([0], [0]))
+    method = draw(st.sampled_from(("sdp", "nnp")))
+    return symmetrize(t), symmetrize(rotated), method
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rotated_case())
+def test_leading_value_is_orthogonally_invariant(case):
+    F, G, method = case
+    pc, _ = solve_leading_pc(F, method)
+    pc_rotated, _ = solve_leading_pc(G, method)
+    if pc.certified and pc_rotated.certified:
+        assert pc_rotated.lambda_star == pytest.approx(pc.lambda_star, rel=1e-9)

@@ -1,16 +1,19 @@
+import itertools
 import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tensorpca import admm, cli
 from tensorpca import (read_tensor, write_tensor, TensorFileError,
                        ExperimentSpec, run_experiment, main, CSV_COLUMNS,
                        random_gaussian, random_partial_symmetric,
-                       SuperSymmetricTensor, solve_biquadratic,
-                       solve_leading_pc)
+                       SuperSymmetricTensor, SolverConfig, solve_biquadratic,
+                       solve_leading_pc, partial_symmetrize)
 
 
 def write_text(path, body):
@@ -49,6 +52,45 @@ def test_round_trip_general_and_partial(tmp_path):
     loaded = read_tensor(path)
     assert loaded.kind == "partial_symmetric"
     np.testing.assert_array_equal(loaded.data, G)
+
+
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+# partial_symmetrize adds two entries before halving: keep the sums finite
+half_finite = st.floats(-8e307, 8e307)
+
+
+@st.composite
+def file_case(draw):
+    kind = draw(st.sampled_from(("super_symmetric", "general",
+                                 "partial_symmetric")))
+    if kind == "super_symmetric":
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        keys = list(itertools.combinations_with_replacement(range(n), m))
+        values = draw(st.lists(any_finite, min_size=len(keys),
+                               max_size=len(keys)))
+        return kind, SuperSymmetricTensor(n, m, dict(zip(keys, values)))
+    if kind == "general":
+        shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+        return kind, draw(arrays(float, shape, elements=any_finite))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    t = draw(arrays(float, (n, m, n, m), elements=half_finite))
+    return kind, partial_symmetrize(t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(file_case())
+def test_round_trip_property(tmp_path_factory, case):
+    kind, data = case
+    path = tmp_path_factory.mktemp("rt") / "t.tensor"
+    write_tensor(path, data, kind)
+    loaded = read_tensor(path)
+    assert loaded.kind == kind
+    if kind == "super_symmetric":
+        assert loaded.dims == (data.n,) * data.m
+        assert all(loaded.data[key] == value for key, value in data.items())
+    else:
+        assert loaded.dims == data.shape
+        np.testing.assert_array_equal(loaded.data, data)
 
 
 def test_writer_stores_sorted_nonzero_rows(tmp_path):
@@ -192,6 +234,26 @@ def test_method_is_honoured_on_every_route(route, tmp_path, monkeypatch,
         assert bool(calls) == (method == "nnp"), method
         if route == "cli":
             assert json.loads(capsys.readouterr().out)["method"] == method
+
+
+def test_cli_solver_defaults_are_solver_config(tmp_path, monkeypatch, capsys):
+    # with no solver flags, solve and experiment hand over SolverConfig()
+    seen = []
+
+    def spy(solver):
+        def run(F, *args):
+            seen.append(args[-1])
+            return solver(F, *args)
+        return run
+
+    monkeypatch.setattr(cli, "solve_leading_pc", spy(cli.solve_leading_pc))
+    monkeypatch.setattr(cli, "solve_sdp", spy(cli.solve_sdp))
+    path = str(tmp_path / "t.tensor")
+    write_tensor(path, random_gaussian(2, 4, 0))
+    assert main(["solve", path]) == 0
+    assert main(["experiment", "--n", "2", "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert seen == [SolverConfig(), SolverConfig()]
 
 
 def test_cli_solve_uses_fallback_exit_code(tmp_path, capsys):
