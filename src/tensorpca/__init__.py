@@ -14,8 +14,8 @@ from .tensors import (SuperSymmetricTensor, canonical_index, class_size,
 from .matricize import (matr, matr_inv, vect, vect_inv, is_super_symmetric,
                         is_partial_symmetric, partial_symmetrize,
                         rank_one_ratio, matr_partial, mode_n_unfold)
-from .projection import (alpha, project_C, project_partial_C, shrink_nuclear,
-                         project_psd)
+from .projection import (alpha, project_C, project_moment_C, lift_moment,
+                         project_partial_C, shrink_nuclear, project_psd)
 from .admm import SolverConfig, SolveReport, neg_eig_mass, solve_nnp, solve_sdp
 from .extraction import (PrincipalComponent, NotRankOne, MultilinearComponent,
                          MbiResult, extract, mbi_refine, deflate)
@@ -40,7 +40,8 @@ __all__ = [
     "random_gaussian", "random_uniform",
     "matr", "matr_inv", "vect", "vect_inv", "is_super_symmetric",
     "rank_one_ratio", "matr_partial", "mode_n_unfold",
-    "alpha", "project_C", "project_partial_C", "shrink_nuclear", "project_psd",
+    "alpha", "project_C", "project_moment_C", "lift_moment",
+    "project_partial_C", "shrink_nuclear", "project_psd",
     "SolverConfig", "SolveReport", "neg_eig_mass", "solve_nnp", "solve_sdp",
     "PrincipalComponent", "NotRankOne", "MultilinearComponent", "MbiResult",
     "extract", "mbi_refine", "deflate", "solve_leading_pc",

@@ -6,19 +6,30 @@ and reports on X, rank-one certificate included.  `solve_nnp` and
 `solve_sdp` build the symmetric-tensor description and recover x; the
 bi-quadratic one is in `extensions`.  This module sits above
 matricize/projection and below extraction.
+
+The symmetric relaxation runs on K x K moment matrices, K = C(n+d-1, d),
+not on n**d x n**d ones: every iterate lies in Sym^d (x) Sym^d, and the
+orthonormal basis B of `projection.lift_moment` carries the problem over
+with every norm, eigenvalue and iteration unchanged (the moment form of
+Nie & Wang, SIAM J. Matrix Anal. Appl. 2014).  The report keeps the K x K
+iterate and lifts it to X when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .matricize import _leading_factors, _rank_one_eig, matr
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
-from .projection import project_C, project_psd, shrink_nuclear
-from .tensors import SuperSymmetricTensor, _fix_sign, eval_homogeneous
+from .projection import _moment_tables, lift_moment, project_moment_C
+from .projection import project_C  # noqa: F401  lookup site in benchmarks/tracer.py
+from .projection import project_psd, shrink_nuclear
+from .tensors import (SuperSymmetricTensor, _canonical_sign, _fix_sign,
+                      eval_homogeneous)
 
 __all__ = [
     "SolverConfig",
@@ -49,7 +60,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.rho, self.mu, self.tol, self.rank_tol) <= 0:
+        floats = (self.rho, self.mu, self.tol, self.rank_tol)
+        if not all(math.isfinite(v) for v in floats):
+            raise ValueError("rho, mu, tol and rank_tol must be finite")
+        if min(floats) <= 0:
             raise ValueError("rho, mu, tol and rank_tol must be positive")
         if self.tol >= 1.0:
             raise ValueError("tol must be below 1")
@@ -62,6 +76,10 @@ class SolveReport:
     """Diagnostics of one solve; X is the final feasible primal iterate.
 
     certified: the solve converged and rank_one_ratio <= cfg.rank_tol.
+    `iterate` is X in the solve's own coordinates: the K x K moment matrix
+    when `moment` holds the symmetric relaxation's (n, d), X itself when
+    `moment` is None.  Reading X lifts a moment iterate to n**d x n**d, so
+    a kept report holds K**2 numbers, not n**(2d).
     """
     objective: float
     nuclear_norm: float
@@ -74,7 +92,14 @@ class SolveReport:
     extracted_x: np.ndarray
     termination: str  # "converged" | "iter_cap"
     certified: bool
-    X: np.ndarray = field(repr=False, default=None)
+    iterate: np.ndarray = field(repr=False, default=None)
+    moment: Optional[Tuple[int, int]] = field(repr=False, default=None)
+
+    @property
+    def X(self) -> np.ndarray:
+        if self.moment is None:
+            return self.iterate
+        return lift_moment(self.iterate, *self.moment)
 
 
 @dataclass(frozen=True)
@@ -82,11 +107,13 @@ class Relaxation:
     """One convex relaxation as `solve` runs it.
 
     Maximize tr(CX) over trace-one X in the affine set `project` maps onto;
-    `start` is a feasible rank-one matrix, the ADMM's first Y.
+    `start` is a feasible rank-one matrix, the ADMM's first Y.  `moment`
+    is (n, d) when the matrices are in moment coordinates.
     """
     C: np.ndarray
     project: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
+    moment: Optional[Tuple[int, int]] = None
 
 
 def neg_eig_mass(X: np.ndarray) -> float:
@@ -122,11 +149,15 @@ def run_admm(project_feasible, y_update, Y0: np.ndarray, cfg: SolverConfig):
 
 def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
               iterations: int = 0, rel: float = 0.0, primal: float = 0.0,
-              converged: bool = True) -> SolveReport:
+              converged: bool = True,
+              moment: Optional[Tuple[int, int]] = None) -> SolveReport:
     # report on X from one eigendecomposition; a bare X counts as converged.
     # Until the caller recovers its factors, extracted_x is the leading
-    # eigenvector and extracted_lambda the objective.
+    # eigenvector (lifted to length n**d from moment coordinates, which
+    # keep the nonzero spectrum) and extracted_lambda the objective.
     w, ratio, _, v = _rank_one_eig(X)
+    if moment is not None:
+        v = _canonical_sign(lift_moment(v, *moment))
     objective = float(np.sum(C * X))
     return SolveReport(
         objective=objective, nuclear_norm=float(np.sum(np.abs(w))),
@@ -134,7 +165,8 @@ def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
         rank_one_ratio=ratio, neg_eig_mass=float(-np.sum(w[w < 0.0])),
         extracted_lambda=objective, extracted_x=v,
         termination="converged" if converged else "iter_cap",
-        certified=bool(converged and ratio <= rank_tol), X=X)
+        certified=bool(converged and ratio <= rank_tol), iterate=X,
+        moment=moment)
 
 
 def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
@@ -160,7 +192,8 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
         raise ValueError(f"unknown method {method!r}")
     X, _, iterations, rel, primal, converged = run_admm(
         problem.project, y_update, problem.start, cfg)
-    return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, converged)
+    return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, converged,
+                      problem.moment)
 
 
 def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
@@ -169,12 +202,16 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
     if F.m % 2:
         raise ValueError("solvers need an even order; square odd orders first")
     n, d = F.n, F.m // 2
-    # feasible rank-one start at the best coordinate direction
+    # in moment coordinates: C_K = B^T matr(F) B, read off one row and
+    # column per class, and the feasible rank-one start e_k e_k^T at the
+    # class k of the best coordinate direction, (best,)*d, alone in it
+    cid, rep, _, _, w = _moment_tables(n, d)
     best = max(range(n), key=lambda i: F[(i,) * F.m])
-    Y0 = np.zeros((n ** d, n ** d))
-    p = int(np.ravel_multi_index((best,) * d, (n,) * d))
-    Y0[p, p] = 1.0
-    return Relaxation(matr(F), lambda Z: project_C(Z, n, d), Y0)
+    k = cid[np.ravel_multi_index((best,) * d, (n,) * d)]
+    Y0 = np.zeros(w.shape)
+    Y0[k, k] = 1.0
+    C = matr(F)[np.ix_(rep, rep)] * w
+    return Relaxation(C, lambda M: project_moment_C(M, n, d), Y0, (n, d))
 
 
 def _recover_symmetric(F: SuperSymmetricTensor, report: SolveReport) -> SolveReport:

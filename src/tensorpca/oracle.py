@@ -170,12 +170,14 @@ def multistart_local(F: SuperSymmetricTensor, restarts: int = 20,
         raise TypeError("expected a SuperSymmetricTensor")
     if F.m % 2:
         raise ValueError("multistart oracle handles even orders only")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     n, m = F.n, F.m
     t = F.to_dense()
     alpha = (m - 1) * float(np.linalg.norm(t))
     rng = np.random.default_rng(seed)
     best_x, best_value = None, -np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         x = _unit(rng.standard_normal(n))
         previous = None
         for _ in range(_HOPM_MAX_STEPS):

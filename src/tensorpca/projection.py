@@ -6,6 +6,12 @@ variant projects onto the trace-one partial-symmetric set used by the
 bi-quadratic solver.  Both affine projections are one formula: average
 over the symmetry, then shift along the averaged identity until the trace
 is one.
+
+The symmetric solvers run in moment coordinates: K x K matrices M in the
+orthonormal basis B of Sym^d(R^n), K = C(n+d-1, d), whose column k is the
+indicator of d-multiset class k divided by sqrt(c_k).  `lift_moment` maps
+M to X = B M B^T, and `project_moment_C` is B^T project_C(B M B^T) B
+computed on the K^2 entries.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .tensors import _class_table, multinomial
 __all__ = [
     "alpha",
     "project_C",
+    "project_moment_C",
+    "lift_moment",
     "shrink_nuclear",
     "project_psd",
     "project_partial_C",
@@ -66,6 +74,54 @@ def project_C(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     diag, ibar, ibar_trace = _trace_classes(n, d)
     xvals = zbar + (1.0 - float(diag @ zbar)) / ibar_trace * ibar
     return xvals[class_id].reshape(size, size)
+
+
+@lru_cache(maxsize=None)
+def _moment_tables(n: int, d: int):
+    """(cid, rep, root, pair, w): the moment basis at a given (n, d).
+
+    cid maps each of the n**d rows to its d-multiset class, rep[k] is the
+    first row of class k, root[k] = sqrt(c_k), pair[k, l] is the 2d-class
+    of the union of classes k and l, and w = outer(root, root).
+    """
+    _, cid, counts = _class_table(n, d)
+    rep = np.unique(cid, return_index=True)[1]
+    _, class_id, _ = _class_table(n, 2 * d)
+    size = n ** d
+    pair = class_id.reshape(size, size)[np.ix_(rep, rep)]
+    root = np.sqrt(counts)
+    tables = (rep, root, pair, np.outer(root, root))
+    for table in tables:
+        table.setflags(write=False)  # cached: shared by every caller
+    return (cid, *tables)
+
+
+def lift_moment(M: np.ndarray, n: int, d: int) -> np.ndarray:
+    """B M B^T for a K x K moment matrix M, or B M for a length-K vector."""
+    cid, _, root, _, w = _moment_tables(n, d)
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        return (M / root)[cid]
+    return (M / w)[np.ix_(cid, cid)]
+
+
+def project_moment_C(M: np.ndarray, n: int, d: int) -> np.ndarray:
+    """project_C in moment coordinates: B^T project_C(B M B^T, n, d) B.
+
+    The class average of B M B^T is zbar_s = sum over k u l = s of
+    M_kl w_kl / count_s; after project_C's shift the result reads back as
+    xvals_s w_kl.  B is an isometry, so distances are those of project_C.
+    """
+    M = np.asarray(M, dtype=float)
+    _, _, _, pair, w = _moment_tables(n, d)
+    if M.shape != w.shape:
+        raise ValueError(f"expected a {len(w)}x{len(w)} matrix, got {M.shape}")
+    _, _, counts = _class_table(n, 2 * d)
+    zbar = np.bincount(pair.ravel(), weights=(M * w).ravel(),
+                       minlength=len(counts)) / counts
+    diag, ibar, ibar_trace = _trace_classes(n, d)
+    xvals = zbar + (1.0 - float(diag @ zbar)) / ibar_trace * ibar
+    return xvals[pair] * w
 
 
 def shrink_nuclear(M: np.ndarray, tau: float) -> np.ndarray:

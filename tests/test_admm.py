@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from tensorpca import (SolverConfig, neg_eig_mass, solve_nnp, solve_sdp,
                        SuperSymmetricTensor, rank_one, random_gaussian,
-                       eval_homogeneous)
+                       eval_homogeneous, matr, project_C)
+from tensorpca.admm import Relaxation, _recover_symmetric, solve
 
 
 def test_config_defaults_and_validation():
@@ -21,6 +24,11 @@ def test_config_defaults_and_validation():
         SolverConfig(tol=1.5)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # nan passes every comparison, so finiteness is checked on its own
+    for name in ("rho", "mu", "tol", "rank_tol"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**{name: bad})
 
 
 def test_neg_eig_mass_matches_eigenvalues():
@@ -113,6 +121,30 @@ def test_first_change_is_measured_from_the_start_point():
     Y0[p, p] = 1.0
     report = solve_sdp(F, SolverConfig(max_iter=1))
     assert report.rel_change == float(np.linalg.norm(report.X - Y0))
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 1), (4, 2), (4, 3), (2, 4)])
+def test_moment_solve_equals_dense_solve(n, d, method):
+    # the same relaxation run on n**d x n**d matrices with the dense
+    # projection: B is an isometry, so only float noise may differ
+    F = random_gaussian(n, 2 * d, 11)
+    best = max(range(n), key=lambda i: F[(i,) * (2 * d)])
+    p = int(np.ravel_multi_index((best,) * d, (n,) * d))
+    Y0 = np.zeros((n ** d, n ** d))
+    Y0[p, p] = 1.0
+    cfg = SolverConfig()
+    dense = _recover_symmetric(F, solve(
+        Relaxation(matr(F), lambda Z: project_C(Z, n, d), Y0), method, cfg))
+    report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](F, cfg)
+    assert report.iterations == dense.iterations
+    assert report.certified == dense.certified
+    K = math.comb(n + d - 1, d)
+    assert report.iterate.shape == (K, K)
+    assert report.X.shape == dense.X.shape
+    assert float(np.linalg.norm(report.X - dense.X)) <= 1e-10
+    assert report.extracted_lambda == pytest.approx(dense.extracted_lambda,
+                                                    rel=1e-12)
 
 
 def test_penalty_bound_holds_at_termination():

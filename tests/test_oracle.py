@@ -110,3 +110,9 @@ def test_multistart_is_bounded_by_relaxation():
 def test_multistart_rejects_odd_order():
     with pytest.raises(ValueError):
         multistart_local(random_gaussian(3, 3, 0))
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_multistart_rejects_fewer_than_one_restart(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        multistart_local(random_gaussian(3, 4, 0), restarts=restarts)

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 from tensorpca import (alpha, project_C, project_partial_C, shrink_nuclear,
                        project_psd, matr, matr_inv, rank_one,
                        is_super_symmetric, is_partial_symmetric, kkt_project,
-                       enumerate_signatures, identity_power)
+                       enumerate_signatures, identity_power, lift_moment,
+                       project_moment_C)
 from tensorpca.projection import _trace_classes
 from tensorpca.tensors import _class_table
 
@@ -156,6 +157,31 @@ def test_project_partial_C_property(case):
     assert np.max(np.abs(project_partial_C(X, n, m) - X)) <= 1e-12
 
 
+def moment_basis(n, d):
+    # dense B: column k is the indicator of d-multiset class k over sqrt(c_k)
+    _, cid, counts = _class_table(n, d)
+    B = np.zeros((n ** d, len(counts)))
+    B[np.arange(n ** d), cid] = 1.0 / np.sqrt(counts[cid])
+    return B
+
+
+# (4, 3) and (3, 4) are shapes kkt_project refuses
+@pytest.mark.parametrize("n, d", [(1, 2), (6, 1), (3, 2), (6, 2), (2, 3),
+                                  (4, 3), (3, 4), (2, 5)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_project_moment_C_property(n, d, data):
+    B = moment_basis(n, d)
+    K = B.shape[1]
+    np.testing.assert_allclose(B.T @ B, np.eye(K), atol=1e-15)
+    A = data.draw(arrays(float, (K, K), elements=finite))
+    M = 0.5 * (A + A.T)
+    np.testing.assert_allclose(lift_moment(M, n, d), B @ M @ B.T, atol=1e-13)
+    P = project_moment_C(M, n, d)
+    assert np.max(np.abs(P - B.T @ project_C(B @ M @ B.T, n, d) @ B)) <= 1e-12
+    assert np.max(np.abs(project_moment_C(P, n, d) - P)) <= 1e-12
+
+
 def test_shrink_nuclear_diagonal_example():
     Y = shrink_nuclear(np.diag([3.0, 1.0]), 2.0)
     np.testing.assert_allclose(Y, np.diag([1.0, 0.0]), atol=1e-14)
@@ -232,3 +258,5 @@ def test_projection_shape_checks():
         project_C(np.zeros((3, 3)), 2, 2)
     with pytest.raises(ValueError):
         project_partial_C(np.zeros((5, 5)), 2, 3)
+    with pytest.raises(ValueError):
+        project_moment_C(np.zeros((4, 4)), 2, 2)
