@@ -11,13 +11,15 @@ The symmetric relaxation runs on K x K moment matrices, K = C(n+d-1, d),
 not on n**d x n**d ones: every iterate lies in Sym^d (x) Sym^d, and the
 orthonormal basis B of `projection.lift_moment` carries the problem over
 with every norm, eigenvalue and iteration unchanged (the moment form of
-Nie & Wang, SIAM J. Matrix Anal. Appl. 2014).  The report keeps the K x K
-iterate and lifts it to X when read.
+Nie & Wang, SIAM J. Matrix Anal. Appl. 2014).  The report keeps the
+iterate's one value per 2d-class and lifts it to K x K or to X when read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
@@ -25,11 +27,12 @@ import numpy as np
 
 from .matricize import _leading_factors, _rank_one_eig, matr
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
-from .projection import _moment_tables, lift_moment, project_moment_C
+from .projection import (_moment_tables, lift_moment, moment_class_values,
+                         project_moment_C)
 from .projection import project_C  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_psd, shrink_nuclear
-from .tensors import (SuperSymmetricTensor, _canonical_sign, _fix_sign,
-                      eval_homogeneous)
+from .tensors import (SuperSymmetricTensor, _canonical_sign, _class_table,
+                      _fix_sign, eval_homogeneous)
 
 __all__ = [
     "SolverConfig",
@@ -67,8 +70,10 @@ class SolverConfig:
             raise ValueError("rho, mu, tol and rank_tol must be positive")
         if self.tol >= 1.0:
             raise ValueError("tol must be below 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be a positive integer")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -76,10 +81,11 @@ class SolveReport:
     """Diagnostics of one solve; X is the final feasible primal iterate.
 
     certified: the solve converged and rank_one_ratio <= cfg.rank_tol.
-    `iterate` is X in the solve's own coordinates: the K x K moment matrix
-    when `moment` holds the symmetric relaxation's (n, d), X itself when
-    `moment` is None.  Reading X lifts a moment iterate to n**d x n**d, so
-    a kept report holds K**2 numbers, not n**(2d).
+    A feasible X of the symmetric relaxation is fixed by one value per
+    2d-class, so when `moment` holds its (n, d) the report keeps those S =
+    C(n+2d-1, 2d) `values` and lifts them when read: `iterate` to the K x K
+    moment matrix the solve ran on, `X` to n**d x n**d.  When `moment` is
+    None (the bi-quadratic relaxation) `values` is X itself.
     """
     objective: float
     nuclear_norm: float
@@ -92,14 +98,24 @@ class SolveReport:
     extracted_x: np.ndarray
     termination: str  # "converged" | "iter_cap"
     certified: bool
-    iterate: np.ndarray = field(repr=False, default=None)
+    values: np.ndarray = field(repr=False, default=None)
     moment: Optional[Tuple[int, int]] = field(repr=False, default=None)
+
+    @property
+    def iterate(self) -> np.ndarray:
+        """X in the solve's own coordinates: K x K, or X itself."""
+        if self.moment is None:
+            return self.values
+        _, _, _, pair, w = _moment_tables(*self.moment)
+        return self.values[pair] * w
 
     @property
     def X(self) -> np.ndarray:
         if self.moment is None:
-            return self.iterate
-        return lift_moment(self.iterate, *self.moment)
+            return self.values
+        n, d = self.moment
+        _, class_id, _ = _class_table(n, 2 * d)
+        return self.values[class_id].reshape(n ** d, n ** d)
 
 
 @dataclass(frozen=True)
@@ -123,28 +139,85 @@ def neg_eig_mass(X: np.ndarray) -> float:
     return float(-np.sum(w[w < 0.0]))
 
 
-def run_admm(project_feasible, y_update, Y0: np.ndarray, cfg: SolverConfig):
-    """Generic splitting loop shared by all drivers.
+# Anderson acceleration of run_admm: the secant pairs kept, and the
+# Tikhonov weight on the Gram matrix's diagonal, relative to its trace plus
+# the squared residual.  Without the residual term, pairs whose residual
+# differences are rounding noise (where the map only translates Q) got
+# weights near 1e5 and threw Q out to where 50 000 plain steps could not
+# bring it back.
+MEMORY = 5
+REGULARIZATION = 1e-10
 
-    project_feasible maps Y + mu*Lam back onto the affine block; y_update
-    maps (X, Lam) to the next spectral block.  Stops when
-    ||X_k - X_{k-1}||_F / ||X_{k-1}||_F + ||X_k - Y_k||_F <= tol, with
-    X_0 = Y0.  Every X_{k-1} has trace one, so the denominator is at least
-    1/sqrt(N).  Returns (X, Y, iterations, rel_change, primal, converged).
+
+def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
+    """The splitting loop shared by all drivers, as an accelerated fixed point.
+
+    With Lam the multiplier, X-update X = project(Y + mu*Lam) and Y-update
+    Y = prox(X + mu*C - mu*Lam), the ADMM is the fixed-point iteration
+    Q <- Q + X' - Y on Q = X + mu*C - mu*Lam (Douglas-Rachford):
+
+        Y_k = prox(Q_k),  X_{k+1} = project(2 Y_k - Q_k + mu*C),
+        Q_{k+1} = Q_k + X_{k+1} - Y_k,  X_1 = project(Y0),  Q_1 = X_1 + mu*C,
+
+    and mu*Lam_k = Y_k - Q_k + mu*C needs no update of its own.  The map is
+    averaged, so its residual ||X_{k+1} - Y_k||_F never grows under the
+    plain step.  Type-II Anderson acceleration (Walker & Ni, SIAM J. Numer.
+    Anal. 2011) extrapolates Q from the last MEMORY secant pairs by the
+    weights gamma minimizing ||g - dG gamma||^2 + lam ||gamma||^2, with g
+    the residual, dG its differences and lam = REGULARIZATION * (tr(dG^T
+    dG) + ||g||^2).  An extrapolated point whose residual exceeds its
+    predecessor's is replaced by the plain step from that predecessor and
+    the memory is cleared (the safeguard of Zhang, O'Donoghue & Boyd, SIAM
+    J. Optim. 2020, as in SCS).
+
+    Stops when ||X_k - X_{k-1}||_F / ||X_{k-1}||_F + ||X_k - Y_k||_F <= tol,
+    with X_0 = Y0.  Every X_{k-1} has trace one, so the denominator is at
+    least 1/sqrt(N).  Returns (X, Y, iterations, rel_change, primal,
+    converged) for the X and Y the last check measured.
     """
-    Y = X_prev = Y0
-    Lam = np.zeros_like(Y0)
-    rel = primal = np.inf
-    for iteration in range(1, cfg.max_iter + 1):
-        X = project_feasible(Y + cfg.mu * Lam)
-        Y = y_update(X, Lam)
-        Lam = Lam - (X - Y) / cfg.mu
+    mu_C = cfg.mu * C
+    dG = np.zeros((MEMORY, Y0.size))  # residual differences, one per row
+    dF = np.zeros((MEMORY, Y0.size))  # differences of the plain steps Q + g
+    gram = np.zeros((MEMORY, MEMORY))  # dG dG^T, one row and column per push
+    eye = np.eye(MEMORY)
+    pairs = slot = 0
+    anchor = None  # (Q + g, g) at the last accepted point, flattened
+    X_prev, X = Y0, project(Y0)
+    Q = X + mu_C
+    extrapolated, last_residual = False, np.inf
+    for iteration in itertools.count(1):
+        Y = prox(Q)
         rel = float(np.linalg.norm(X - X_prev)) / float(np.linalg.norm(X_prev))
         primal = float(np.linalg.norm(X - Y))
-        if rel + primal <= cfg.tol:
-            return X, Y, iteration, rel, primal, True
-        X_prev = X
-    return X, Y, cfg.max_iter, rel, primal, False
+        if rel + primal <= cfg.tol or iteration == cfg.max_iter:
+            return X, Y, iteration, rel, primal, rel + primal <= cfg.tol
+        X_next = project(2.0 * Y - Q + mu_C)
+        step = X_next - Y
+        g = step.ravel()
+        residual = float(g @ g)
+        if extrapolated and residual > last_residual:
+            Q, extrapolated = plain, False
+            pairs = slot = 0
+            anchor = None
+            continue
+        plain = Q + step
+        if anchor is not None:
+            dF[slot] = plain.ravel() - anchor[0]
+            dG[slot] = g - anchor[1]
+            gram[slot] = gram[:, slot] = dG @ dG[slot]
+            slot = (slot + 1) % MEMORY
+            pairs = min(pairs + 1, MEMORY)
+        anchor = (plain.ravel(), g)
+        last_residual = residual
+        X_prev, X = X, X_next
+        H = gram[:pairs, :pairs]
+        scale = REGULARIZATION * (float(H.trace()) + residual)
+        extrapolated = pairs > 0 and scale > 0.0
+        if not extrapolated:
+            Q = plain
+            continue
+        gamma = np.linalg.solve(H + scale * eye[:pairs, :pairs], dG[:pairs] @ g)
+        Q = plain - (gamma @ dF[:pairs]).reshape(Q.shape)
 
 
 def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
@@ -159,39 +232,42 @@ def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
     if moment is not None:
         v = _canonical_sign(lift_moment(v, *moment))
     objective = float(np.sum(C * X))
+    values = X if moment is None else moment_class_values(X, *moment)
     return SolveReport(
         objective=objective, nuclear_norm=float(np.sum(np.abs(w))),
         iterations=iterations, primal_residual=primal, rel_change=rel,
         rank_one_ratio=ratio, neg_eig_mass=float(-np.sum(w[w < 0.0])),
         extracted_lambda=objective, extracted_x=v,
         termination="converged" if converged else "iter_cap",
-        certified=bool(converged and ratio <= rank_tol), iterate=X,
+        certified=bool(converged and ratio <= rank_tol), values=values,
         moment=moment)
 
 
 def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
     """Run a relaxation through the ADMM and report on its last X.
 
-    X-update: project Y + mu*Lam onto the affine set.  Y-update: "sdp"
-    projects X + mu*C - mu*Lam onto the PSD cone; "nnp" shrinks the
-    singular values of X - mu*(Lam - C) by mu*rho, for the penalized
-    objective tr(CX) - rho*||X||_*.  Multiplier: Lam <- Lam - (X - Y)/mu.
+    X-update: project onto the affine set.  Y-update, the prox of the
+    spectral block: "sdp" projects onto the PSD cone; "nnp" shrinks the
+    singular values by mu*rho, for the penalized objective
+    tr(CX) - rho*||X||_*.  `run_admm` has the iteration.
     """
     C = problem.C
     if not C.any():
         raise ValueError("zero tensor is degenerate")
+    # both look their operator up on this module at call time, where
+    # benchmarks/tracer.py times it
     if method == "sdp":
-        def y_update(X, Lam):
-            return project_psd(X + cfg.mu * C - cfg.mu * Lam)
+        def prox(Q):
+            return project_psd(Q)
     elif method == "nnp":
         tau = cfg.mu * cfg.rho
 
-        def y_update(X, Lam):
-            return shrink_nuclear(X - cfg.mu * (Lam - C), tau)
+        def prox(Q):
+            return shrink_nuclear(Q, tau)
     else:
         raise ValueError(f"unknown method {method!r}")
     X, _, iterations, rel, primal, converged = run_admm(
-        problem.project, y_update, problem.start, cfg)
+        problem.project, prox, C, problem.start, cfg)
     return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, converged,
                       problem.moment)
 

@@ -193,8 +193,8 @@ def _emit_solution(info: dict, vectors: dict, as_json: bool) -> None:
 
 
 def _cmd_solve(args) -> int:
-    loaded = read_tensor(args.input)
     cfg = _cfg_from_args(args)
+    loaded = read_tensor(args.input)
     if loaded.kind == "partial_symmetric":
         component, report = solve_biquadratic(loaded.data, args.method, cfg)
         vectors = {"x": component.x_star, "y": component.y_star}

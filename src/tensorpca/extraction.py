@@ -70,25 +70,29 @@ def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.ra
     """Recover (lambda*, x*) for the even-order F from a solve or a matrix.
 
     `solution` is a report of solve_nnp or solve_sdp, whose certificate is
-    read as is, or a bare matrix feasible for the trace-one symmetric set,
-    certified by the same rule (with `rank_tol`) as a converged point.  A
-    certified solution gives the x read off its leading eigenvector and
-    lambda* = F(x); otherwise a NotRankOne carrying the spectrum is returned.
+    read as is, or a bare matrix, which must be feasible for the trace-one
+    symmetric set and is certified by the same rule (with `rank_tol`) as a
+    converged point.  A report's X is a projection output, so it is not
+    checked again: an absolute trace test fails on the rounding of a
+    large-norm tensor's capped iterate.  A certified solution gives the x
+    read off its leading eigenvector and lambda* = F(x); otherwise a
+    NotRankOne carrying the spectrum is returned.
     """
     if F.m % 2:
         raise ValueError("extraction needs an even order")
-    n, d = F.n, F.m // 2
-    report = solution if isinstance(solution, SolveReport) else None
-    X = np.asarray(solution if report is None else report.X, dtype=float)
-    if abs(float(np.trace(X)) - 1.0) > 1e-8:
-        raise ValueError("X is infeasible: trace is not one")
-    ok, violation = is_super_symmetric(matr_inv(X, n, d), tol=1e-8)
-    if not ok:
-        raise ValueError(f"X is infeasible: symmetry violated by {violation:.3e}")
-    if report is None:
+    if isinstance(solution, SolveReport):
+        report = solution
+    else:
+        X = np.asarray(solution, dtype=float)
+        if abs(float(np.trace(X)) - 1.0) > 1e-8:
+            raise ValueError("X is infeasible: trace is not one")
+        ok, violation = is_super_symmetric(matr_inv(X, F.n, F.m // 2), tol=1e-8)
+        if not ok:
+            raise ValueError(
+                f"X is infeasible: symmetry violated by {violation:.3e}")
         report = _recover_symmetric(F, _summarize(X, matr(F), rank_tol))
     if not report.certified:
-        return NotRankOne(report.rank_one_ratio, np.linalg.eigvalsh(X))
+        return NotRankOne(report.rank_one_ratio, np.linalg.eigvalsh(report.X))
     return PrincipalComponent(report.extracted_lambda, report.extracted_x, True)
 
 

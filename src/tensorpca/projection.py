@@ -96,6 +96,27 @@ def _moment_tables(n: int, d: int):
     return (cid, *tables)
 
 
+@lru_cache(maxsize=None)
+def _class_entries(n: int, d: int) -> np.ndarray:
+    """Flat index of one entry of each 2d-class in the K x K pair table."""
+    _, _, _, pair, _ = _moment_tables(n, d)
+    entries = np.unique(pair, return_index=True)[1]
+    entries.setflags(write=False)  # cached: shared by every caller
+    return entries
+
+
+def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The one value per 2d-class of B M B^T, for M in the symmetric set.
+
+    project_moment_C returns xvals[pair] * w, so xvals_s is M_kl / w_kl
+    at any entry (k, l) of class s; `xvals[pair] * w` lifts back to M and
+    `xvals[class_id]` to B M B^T.
+    """
+    _, _, _, _, w = _moment_tables(n, d)
+    entries = _class_entries(n, d)
+    return np.asarray(M, dtype=float).ravel()[entries] / w.ravel()[entries]
+
+
 def lift_moment(M: np.ndarray, n: int, d: int) -> np.ndarray:
     """B M B^T for a K x K moment matrix M, or B M for a length-K vector."""
     cid, _, root, _, w = _moment_tables(n, d)

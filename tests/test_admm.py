@@ -6,7 +6,10 @@ import pytest
 from tensorpca import (SolverConfig, neg_eig_mass, solve_nnp, solve_sdp,
                        SuperSymmetricTensor, rank_one, random_gaussian,
                        eval_homogeneous, matr, project_C)
-from tensorpca.admm import Relaxation, _recover_symmetric, solve
+from tensorpca.admm import (Relaxation, _recover_symmetric,
+                            _symmetric_relaxation, run_admm, solve)
+from tensorpca.projection import project_psd, shrink_nuclear
+from tensorpca.tensors import _class_table
 
 
 def test_config_defaults_and_validation():
@@ -24,6 +27,12 @@ def test_config_defaults_and_validation():
         SolverConfig(tol=1.5)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # a fractional cap would fail inside the loop, and a negative or
+    # fractional seed only once a fallback draws its restarts
+    for bad in ({"max_iter": 2.5}, {"seed": -1}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(**bad)
+    assert SolverConfig(seed=np.int64(7), max_iter=np.int64(9)).seed == 7
     # nan passes every comparison, so finiteness is checked on its own
     for name in ("rho", "mu", "tol", "rank_tol"):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -137,14 +146,70 @@ def test_moment_solve_equals_dense_solve(n, d, method):
     dense = _recover_symmetric(F, solve(
         Relaxation(matr(F), lambda Z: project_C(Z, n, d), Y0), method, cfg))
     report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](F, cfg)
-    assert report.iterations == dense.iterations
     assert report.certified == dense.certified
     K = math.comb(n + d - 1, d)
     assert report.iterate.shape == (K, K)
     assert report.X.shape == dense.X.shape
-    assert float(np.linalg.norm(report.X - dense.X)) <= 1e-10
     assert report.extracted_lambda == pytest.approx(dense.extracted_lambda,
                                                     rel=1e-12)
+    if method == "sdp":
+        assert report.iterations == dense.iterations
+        assert float(np.linalg.norm(report.X - dense.X)) <= 1e-10
+    else:
+        # the accelerated path depends on rounding (the safeguard compares
+        # two residuals that can tie), so the two runs may take different
+        # paths to the same solution
+        assert float(np.linalg.norm(report.X - dense.X)) <= 10 * cfg.tol
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (2, 3)])
+def test_plain_step_in_moment_coordinates_is_the_dense_step(n, d, method):
+    # the first step of run_admm is always the plain one, and two
+    # iterations return the X and Y it produced: in moment coordinates
+    # they are the dense ones compressed by B
+    F = random_gaussian(n, 2 * d, 5)
+    _, cid, counts = _class_table(n, d)
+    B = np.zeros((n ** d, len(counts)))
+    B[np.arange(n ** d), cid] = 1.0 / np.sqrt(counts[cid])
+    moment = _symmetric_relaxation(F)
+    Y0 = B @ moment.start @ B.T
+    cfg = SolverConfig(max_iter=2)
+    prox = {"sdp": project_psd,
+            "nnp": lambda Q: shrink_nuclear(Q, cfg.mu * cfg.rho)}[method]
+    X, Y, iterations, _, _, _ = run_admm(
+        moment.project, prox, moment.C, moment.start, cfg)
+    X_dense, Y_dense, _, _, _, _ = run_admm(
+        lambda Z: project_C(Z, n, d), prox, matr(F), Y0, cfg)
+    assert iterations == 2
+    assert np.max(np.abs(X - B.T @ X_dense @ B)) <= 1e-12
+    assert np.max(np.abs(Y - B.T @ Y_dense @ B)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, method, trial, plain_iterations",
+                         [(4, "sdp", 15, 798), (4, "sdp", 21, 638),
+                          (5, "nnp", 27, 620)])
+def test_safeguard_keeps_hard_instances_converging(n, method, trial,
+                                                   plain_iterations):
+    # criterion-02 instances among the slowest under acceleration;
+    # plain_iterations is the unaccelerated loop's count
+    F = random_gaussian(n, 4, 1000 * n + trial)
+    report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](F)
+    assert report.termination == "converged"
+    assert report.certified
+    assert report.iterations <= 2 * plain_iterations
+
+
+@pytest.mark.parametrize("solve", [solve_nnp, solve_sdp])
+def test_acceleration_keeps_the_start_symmetry(solve):
+    # the reflection x2 -> -x2 swaps the peaks (e1 +- e2)/sqrt(2) and fixes
+    # the start; extrapolating symmetric iterates keeps them symmetric, so
+    # the solve stays on the rank-two face between the peaks
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    v = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    report = solve(rank_one(1.0, u, 4) + rank_one(1.0, v, 4))
+    assert report.termination == "converged"
+    assert report.rank_one_ratio > 1e-6
 
 
 def test_penalty_bound_holds_at_termination():

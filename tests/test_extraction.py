@@ -167,15 +167,30 @@ def test_iter_cap_is_never_certified(tmp_path):
 
 def test_uncertified_solve_falls_back_to_ascent():
     # two symmetric peaks produce a rank-two optimal face; the driver must
-    # still return a unit point attaining the shared value
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    F = rank_one(1.0, e1, 4) + rank_one(1.0, e2, 4)
+    # still return a unit point attaining the shared value.  The peaks sit
+    # at (e1 +- e2)/sqrt(2), so the reflection x2 -> -x2 swaps them and
+    # fixes the start e1 e1^T: every iterate keeps the symmetry, and no
+    # splitting can reach either rank-one vertex
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    v = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    F = rank_one(1.0, u, 4) + rank_one(1.0, v, 4)
     pc, report = solve_leading_pc(F, "sdp", SolverConfig(seed=3))
     assert not pc.certified
     assert report.rank_one_ratio > 1e-6
     assert np.linalg.norm(pc.x_star) == pytest.approx(1.0, abs=1e-12)
     assert pc.lambda_star == pytest.approx(1.0, abs=1e-6)
+
+
+def test_capped_solve_of_a_large_norm_tensor_falls_back():
+    # the capped iterate's trace is off by rounding on entries of size 1e8:
+    # the report is read as is, not re-checked for feasibility
+    F = 1e5 * random_gaussian(5, 4, 3)
+    pc, report = solve_leading_pc(F, "nnp", SolverConfig(max_iter=1000))
+    assert report.termination == "iter_cap"
+    assert not pc.certified
+    assert np.linalg.norm(pc.x_star) == pytest.approx(1.0, abs=1e-12)
+    assert pc.lambda_star == pytest.approx(eval_homogeneous(F, pc.x_star),
+                                           rel=1e-12)
 
 
 @st.composite

@@ -279,12 +279,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     main(["gen", general, "--kind", "general", "--n", "2", "--seed", "0"])
     assert main(["oracle", general]) == 1
     assert "super_symmetric" in capsys.readouterr().err
-    # a nan tolerance would run every iteration; a restart count below one
-    # would be read as one
+    # a nan tolerance would run every iteration, a negative seed would fail
+    # only in a fallback, and a restart count below one would be read as one
     symmetric = str(tmp_path / "s.tensor")
     main(["gen", symmetric, "--n", "3", "--seed", "0"])
     capsys.readouterr()
     for args in (["solve", symmetric, "--tol", "nan"],
+                 ["solve", symmetric, "--seed", "-1"],
                  ["oracle", symmetric, "--mode", "multistart", "--restarts", "-3"]):
         assert main(args) == 1
         captured = capsys.readouterr()
