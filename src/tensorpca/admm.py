@@ -12,7 +12,7 @@ not on n**d x n**d ones: every iterate lies in Sym^d (x) Sym^d, and the
 orthonormal basis B of `projection.lift_moment` carries the problem over
 with every norm, eigenvalue and iteration unchanged (the moment form of
 Nie & Wang, SIAM J. Matrix Anal. Appl. 2014).  The report keeps the
-iterate's one value per 2d-class and lifts it to K x K or to X when read.
+iterate's one value per 2d-class and lifts it to X when read.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .projection import (_moment_tables, lift_moment, moment_class_values,
                          project_moment_C)
 from .projection import project_C  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_psd, shrink_nuclear
-from .tensors import (SuperSymmetricTensor, _canonical_sign, _class_table,
-                      _fix_sign, eval_homogeneous)
+from .tensors import (SuperSymmetricTensor, _class_table, _fix_sign,
+                      eval_homogeneous)
 
 __all__ = [
     "SolverConfig",
@@ -83,9 +83,9 @@ class SolveReport:
     certified: the solve converged and rank_one_ratio <= cfg.rank_tol.
     A feasible X of the symmetric relaxation is fixed by one value per
     2d-class, so when `moment` holds its (n, d) the report keeps those S =
-    C(n+2d-1, 2d) `values` and lifts them when read: `iterate` to the K x K
-    moment matrix the solve ran on, `X` to n**d x n**d.  When `moment` is
-    None (the bi-quadratic relaxation) `values` is X itself.
+    C(n+2d-1, 2d) `values` and `X` lifts them to n**d x n**d when read.
+    When `moment` is None (the bi-quadratic relaxation) `values` is X
+    itself.
     """
     objective: float
     nuclear_norm: float
@@ -100,14 +100,6 @@ class SolveReport:
     certified: bool
     values: np.ndarray = field(repr=False, default=None)
     moment: Optional[Tuple[int, int]] = field(repr=False, default=None)
-
-    @property
-    def iterate(self) -> np.ndarray:
-        """X in the solve's own coordinates: K x K, or X itself."""
-        if self.moment is None:
-            return self.values
-        _, _, _, pair, w = _moment_tables(*self.moment)
-        return self.values[pair] * w
 
     @property
     def X(self) -> np.ndarray:
@@ -230,7 +222,7 @@ def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
     # keep the nonzero spectrum) and extracted_lambda the objective.
     w, ratio, _, v = _rank_one_eig(X)
     if moment is not None:
-        v = _canonical_sign(lift_moment(v, *moment))
+        v = lift_moment(v, *moment)
     objective = float(np.sum(C * X))
     values = X if moment is None else moment_class_values(X, *moment)
     return SolveReport(

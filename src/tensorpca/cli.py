@@ -17,6 +17,7 @@ import json
 import csv
 import logging
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -61,8 +62,8 @@ class ExperimentSpec:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError("trials must be a positive integer")
         if self.family not in ("symmetric", "biquadratic"):
             raise ValueError(f"unknown family {self.family!r}")
         for method in self.methods:
@@ -75,6 +76,8 @@ class ExperimentSpec:
             dims = [v for size in self.sizes for v in size]
         else:
             dims = [*self.sizes, self.d]
+        if not all(isinstance(v, numbers.Integral) for v in dims):
+            raise ValueError("n, m and d must be integers")
         if min(dims, default=1) < 1:
             raise ValueError("n, m and d must be at least 1")
 
@@ -224,16 +227,22 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # a flag that cannot apply to the kind is refused, not ignored
+    if args.m is not None and args.kind != "partial_symmetric":
+        raise ValueError(f"--m applies to partial_symmetric only, not {args.kind}")
+    order = 4 if args.order is None else args.order
     if args.kind == "partial_symmetric":
         if args.dist != "gaussian":
             raise ValueError("partial_symmetric generation is gaussian only")
+        if order != 4:
+            raise ValueError(f"--order {order}: partial_symmetric arrays have order 4")
         data = random_partial_symmetric(args.n, args.m or args.n, args.seed)
     elif args.kind == "super_symmetric":
         maker = random_gaussian if args.dist == "gaussian" else random_uniform
-        data = maker(args.n, args.order, args.seed)
+        data = maker(args.n, order, args.seed)
     else:
         rng = np.random.default_rng(args.seed)
-        dims = (args.n,) * args.order
+        dims = (args.n,) * order
         data = (rng.standard_normal(dims) if args.dist == "gaussian"
                 else rng.uniform(-1.0, 1.0, dims))
     write_tensor(args.output, data, args.kind)
@@ -317,7 +326,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("gen", help="write a seeded random instance")
     p.add_argument("output", help="destination file")
     p.add_argument("--n", type=int, required=True, help="dimension")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=int, default=None,
+                   help="tensor order (default 4; partial_symmetric is always 4)")
     p.add_argument("--m", type=int, default=None,
                    help="second block dimension (partial_symmetric only)")
     p.add_argument("--kind", default="super_symmetric",

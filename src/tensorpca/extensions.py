@@ -180,10 +180,11 @@ def odd_to_even(F: SuperSymmetricTensor) -> SuperSymmetricTensor:
 
     The result G satisfies G(x, ..., x) = ||F(x, ..., x, .)||^2, so the
     leading value of F is the square root of G's and the argmax carries
-    over (up to the sign making F's form nonnegative).
+    over (up to the sign making F's form nonnegative).  Order 1 would
+    square to order 0, which no solver takes, so it is refused.
     """
-    if F.m % 2 == 0:
-        raise ValueError("expected an odd order")
+    if F.m % 2 == 0 or F.m < 3:
+        raise ValueError(f"expected an odd order of at least 3, got order {F.m}")
     t = F.to_dense()
     h = np.tensordot(t, t, axes=([F.m - 1], [F.m - 1]))
     return symmetrize(h)

@@ -96,25 +96,20 @@ def _moment_tables(n: int, d: int):
     return (cid, *tables)
 
 
-@lru_cache(maxsize=None)
-def _class_entries(n: int, d: int) -> np.ndarray:
-    """Flat index of one entry of each 2d-class in the K x K pair table."""
-    _, _, _, pair, _ = _moment_tables(n, d)
-    entries = np.unique(pair, return_index=True)[1]
-    entries.setflags(write=False)  # cached: shared by every caller
-    return entries
-
-
 def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The one value per 2d-class of B M B^T, for M in the symmetric set.
+    """The class average of B M B^T: one value per 2d-class.
 
-    project_moment_C returns xvals[pair] * w, so xvals_s is M_kl / w_kl
-    at any entry (k, l) of class s; `xvals[pair] * w` lifts back to M and
-    `xvals[class_id]` to B M B^T.
+    zbar_s = sum over k u l = s of M_kl w_kl / count_s, the first step of
+    project_moment_C.  On its output xvals[pair] * w this gives back xvals,
+    which `xvals[pair] * w` lifts to M and `xvals[class_id]` to B M B^T.
     """
-    _, _, _, _, w = _moment_tables(n, d)
-    entries = _class_entries(n, d)
-    return np.asarray(M, dtype=float).ravel()[entries] / w.ravel()[entries]
+    M = np.asarray(M, dtype=float)
+    _, _, _, pair, w = _moment_tables(n, d)
+    if M.shape != w.shape:
+        raise ValueError(f"expected a {len(w)}x{len(w)} matrix, got {M.shape}")
+    _, _, counts = _class_table(n, 2 * d)
+    return np.bincount(pair.ravel(), weights=(M * w).ravel(),
+                       minlength=len(counts)) / counts
 
 
 def lift_moment(M: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -129,17 +124,12 @@ def lift_moment(M: np.ndarray, n: int, d: int) -> np.ndarray:
 def project_moment_C(M: np.ndarray, n: int, d: int) -> np.ndarray:
     """project_C in moment coordinates: B^T project_C(B M B^T, n, d) B.
 
-    The class average of B M B^T is zbar_s = sum over k u l = s of
-    M_kl w_kl / count_s; after project_C's shift the result reads back as
-    xvals_s w_kl.  B is an isometry, so distances are those of project_C.
+    project_C's shift applied to the class average `moment_class_values`,
+    read back as xvals_s w_kl.  B is an isometry, so distances are those
+    of project_C.
     """
-    M = np.asarray(M, dtype=float)
     _, _, _, pair, w = _moment_tables(n, d)
-    if M.shape != w.shape:
-        raise ValueError(f"expected a {len(w)}x{len(w)} matrix, got {M.shape}")
-    _, _, counts = _class_table(n, 2 * d)
-    zbar = np.bincount(pair.ravel(), weights=(M * w).ravel(),
-                       minlength=len(counts)) / counts
+    zbar = moment_class_values(M, n, d)
     diag, ibar, ibar_trace = _trace_classes(n, d)
     xvals = zbar + (1.0 - float(diag @ zbar)) / ibar_trace * ibar
     return xvals[pair] * w

@@ -323,17 +323,24 @@ def identity_power(n: int, d: int) -> SuperSymmetricTensor:
     return symmetrize(t)
 
 
+def _check_random_shape(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise ValueError(f"dimension and order must be at least 1, got n={n}, m={m}")
+
+
 def random_gaussian(n: int, m: int, seed: int) -> SuperSymmetricTensor:
     """Symmetrization of an i.i.d. standard-normal (n,)*m array.
 
     Uses numpy's default_rng (PCG64); a fixed seed gives identical tensors
     across calls within this implementation.
     """
+    _check_random_shape(n, m)
     rng = np.random.default_rng(seed)
     return symmetrize(rng.standard_normal((n,) * m))
 
 
 def random_uniform(n: int, m: int, seed: int) -> SuperSymmetricTensor:
     """Symmetrization of an i.i.d. uniform(-1, 1) (n,)*m array."""
+    _check_random_shape(n, m)
     rng = np.random.default_rng(seed)
     return symmetrize(rng.uniform(-1.0, 1.0, size=(n,) * m))

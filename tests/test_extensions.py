@@ -233,6 +233,15 @@ def test_odd_to_even_trivial_and_rank_one():
         odd_to_even(random_gaussian(2, 4, 0))
 
 
+def test_order_one_is_refused_with_its_order():
+    # squaring an order-1 form would give order 0, which no solver takes
+    F = random_gaussian(3, 1, 0)
+    with pytest.raises(ValueError, match="order 1"):
+        odd_to_even(F)
+    with pytest.raises(ValueError, match="order 1"):
+        solve_leading_pc(F)
+
+
 def test_odd_to_even_identity_on_probes():
     rng = np.random.default_rng(12)
     for n, m in [(3, 3), (2, 5)]:

@@ -237,3 +237,25 @@ def test_leading_value_is_orthogonally_invariant(case):
     pc_rotated, _ = solve_leading_pc(G, method)
     if pc.certified and pc_rotated.certified:
         assert pc_rotated.lambda_star == pytest.approx(pc.lambda_star, rel=1e-9)
+
+
+@st.composite
+def mildly_scaled_case(draw):
+    # order 4 up to n = 4 and order 6 up to n = 3; s uniform in [0.5, 2]
+    m = draw(st.sampled_from((4, 6)))
+    n = draw(st.integers(1, 4 if m == 4 else 3))
+    seed = draw(st.integers(0, 2**16))
+    return random_gaussian(n, m, seed), draw(st.floats(0.5, 2.0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(mildly_scaled_case())
+def test_leading_value_scales_with_the_tensor(case):
+    # sdp on sF runs the ADMM of F with mu scaled by s, so near s = 1 the
+    # value scales and the certificate holds; s = 1e+-3 needs the solver to
+    # normalise the scale first
+    F, s = case
+    pc, _ = solve_leading_pc(F, "sdp")
+    pc_scaled, _ = solve_leading_pc(s * F, "sdp")
+    assert pc_scaled.certified == pc.certified
+    assert pc_scaled.lambda_star == pytest.approx(s * pc.lambda_star, rel=1e-9)

@@ -290,8 +290,32 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
-    assert main(["gen", str(tmp_path / "p.tensor"), "--kind",
-                 "partial_symmetric", "--n", "2", "--dist", "uniform"]) == 1
+    # gen refuses a flag that cannot apply to the kind, and an empty order,
+    # naming what it refuses
+    for args, named in (
+            (["--kind", "partial_symmetric", "--dist", "uniform"], "gaussian"),
+            (["--kind", "partial_symmetric", "--order", "6"], "--order"),
+            (["--m", "3"], "--m"),
+            (["--kind", "general", "--m", "3"], "--m"),
+            (["--order", "0"], "order")):
+        path = tmp_path / "p.tensor"
+        assert main(["gen", str(path), "--n", "2", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+        assert captured.out == "" and not path.exists()
+    assert main(["gen", str(path), "--n", "2", "--kind", "partial_symmetric",
+                 "--order", "4", "--m", "3"]) == 0
+    assert read_tensor(path).dims == (2, 3, 2, 3)
+
+
+def test_cli_order_one_file_names_its_order(tmp_path, capsys):
+    path = tmp_path / "v.tensor"
+    write_tensor(path, random_gaussian(3, 1, 0))
+    for command in ("solve", "oracle"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "order 1" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_oracle_matches_solve(tmp_path, capsys):
@@ -397,6 +421,17 @@ def test_experiment_spec_validation():
         ExperimentSpec(sizes=((0, 3),), trials=1, family="biquadratic")
     with pytest.raises(ValueError):
         ExperimentSpec(sizes=((3, 0),), trials=1, family="biquadratic")
+    # non-integral counts and sizes, which no trial could use
+    for kwargs in ({"sizes": (2.5,), "trials": 2},
+                   {"sizes": (3,), "trials": 2, "d": 1.5},
+                   {"sizes": ((2, 2.5),), "trials": 2, "family": "biquadratic"},
+                   {"sizes": (3,), "trials": 1.5}):
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentSpec(**kwargs)
+    spec = ExperimentSpec(sizes=(np.int64(2),), trials=np.int64(1),
+                          d=np.int64(1))
+    (row,) = run_experiment(spec)
+    assert row["failed"] == 0
 
 
 def test_cli_experiment_rejects_unsolvable_sizes(capsys):

@@ -188,3 +188,10 @@ def test_random_generators_are_seeded_and_symmetric():
     U = random_uniform(3, 3, 7)
     t = U.to_dense()
     np.testing.assert_allclose(t, t.transpose(1, 0, 2), atol=1e-14)
+
+
+@pytest.mark.parametrize("maker", [random_gaussian, random_uniform])
+@pytest.mark.parametrize("n, m", [(3, 0), (0, 2), (-1, 3)])
+def test_random_generators_reject_empty_shapes(maker, n, m):
+    with pytest.raises(ValueError, match="at least 1"):
+        maker(n, m, 0)
