@@ -7,6 +7,13 @@ and reports on X, rank-one certificate included.  `solve_nnp` and
 bi-quadratic one is in `extensions`.  This module sits above
 matricize/projection and below extraction.
 
+Every solve is bounded by its dual.  With L the directions of the affine
+set (symmetric, trace zero), any S orthogonal to L gives, for every
+trace-one PSD X' in the set, tr(C X') = tr((C + S) X') - <S, X'> <=
+lambda_max(C + S) - <S, X> at any X in the set, capped iterates included.
+`solve` takes S from the ADMM's last multiplier, so the bound is tight at
+a solution; `certifies` is the one certificate rule that reads it.
+
 The symmetric relaxation runs on K x K moment matrices, K = C(n+d-1, d),
 not on n**d x n**d ones: every iterate lies in Sym^d (x) Sym^d, and the
 orthonormal basis B of `projection.lift_moment` carries the problem over
@@ -41,6 +48,7 @@ __all__ = [
     "solve",
     "solve_nnp",
     "solve_sdp",
+    "certifies",
     "neg_eig_mass",
 ]
 
@@ -80,7 +88,14 @@ class SolverConfig:
 class SolveReport:
     """Diagnostics of one solve; X is the final feasible primal iterate.
 
-    certified: the solve converged and rank_one_ratio <= cfg.rank_tol.
+    certified: the rank-one certificate, the solve converged and
+    rank_one_ratio <= cfg.rank_tol.  bound: lambda_max(C + S) - <S, X>, an
+    upper bound on the relaxation and so on the form's maximum, valid at
+    any iterate (nan for a bare matrix, which has no multiplier).
+    extracted_lambda is the value the route returns on this relaxation's
+    form, the fallback's when it ran, and gap = bound - extracted_lambda.
+    A returned value is certified by `certifies`: rank one, or a closed
+    gap, at a converged iterate.
     A feasible X of the symmetric relaxation is fixed by one value per
     2d-class, so when `moment` holds its (n, d) the report keeps those S =
     C(n+2d-1, 2d) `values` and `X` lifts them to n**d x n**d when read.
@@ -98,6 +113,7 @@ class SolveReport:
     extracted_x: np.ndarray
     termination: str  # "converged" | "iter_cap"
     certified: bool
+    bound: float = math.nan
     values: np.ndarray = field(repr=False, default=None)
     moment: Optional[Tuple[int, int]] = field(repr=False, default=None)
 
@@ -108,6 +124,10 @@ class SolveReport:
         n, d = self.moment
         _, class_id, _ = _class_table(n, 2 * d)
         return self.values[class_id].reshape(n ** d, n ** d)
+
+    @property
+    def gap(self) -> float:
+        return self.bound - self.extracted_lambda
 
 
 @dataclass(frozen=True)
@@ -165,7 +185,7 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
     Stops when ||X_k - X_{k-1}||_F / ||X_{k-1}||_F + ||X_k - Y_k||_F <= tol,
     with X_0 = Y0.  Every X_{k-1} has trace one, so the denominator is at
     least 1/sqrt(N).  Returns (X, Y, iterations, rel_change, primal,
-    converged) for the X and Y the last check measured.
+    converged, mu*Lam) for the X and Y the last check measured.
     """
     mu_C = cfg.mu * C
     dG = np.zeros((MEMORY, Y0.size))  # residual differences, one per row
@@ -182,7 +202,8 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
         rel = float(np.linalg.norm(X - X_prev)) / float(np.linalg.norm(X_prev))
         primal = float(np.linalg.norm(X - Y))
         if rel + primal <= cfg.tol or iteration == cfg.max_iter:
-            return X, Y, iteration, rel, primal, rel + primal <= cfg.tol
+            return (X, Y, iteration, rel, primal, rel + primal <= cfg.tol,
+                    Y - Q + mu_C)
         X_next = project(2.0 * Y - Q + mu_C)
         step = X_next - Y
         g = step.ravel()
@@ -215,7 +236,8 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
 def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
               iterations: int = 0, rel: float = 0.0, primal: float = 0.0,
               converged: bool = True,
-              moment: Optional[Tuple[int, int]] = None) -> SolveReport:
+              moment: Optional[Tuple[int, int]] = None,
+              bound: float = math.nan) -> SolveReport:
     # report on X from one eigendecomposition; a bare X counts as converged.
     # Until the caller recovers its factors, extracted_x is the leading
     # eigenvector (lifted to length n**d from moment coordinates, which
@@ -231,8 +253,32 @@ def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
         rank_one_ratio=ratio, neg_eig_mass=float(-np.sum(w[w < 0.0])),
         extracted_lambda=objective, extracted_x=v,
         termination="converged" if converged else "iter_cap",
-        certified=bool(converged and ratio <= rank_tol), values=values,
-        moment=moment)
+        certified=bool(converged and ratio <= rank_tol), bound=bound,
+        values=values, moment=moment)
+
+
+def closes_gap(bound: float, value: float, rank_tol: float) -> bool:
+    """value is within rank_tol * |bound| of the bound (never for a nan bound)."""
+    return bound - value <= rank_tol * abs(bound)
+
+
+def certifies(report: SolveReport, rank_tol: float) -> bool:
+    """The certificate of the value a route returns, report.extracted_lambda.
+
+    The solve converged, and X is rank one or the value closes the gap to
+    the dual bound.  An iteration cap certifies nothing, closed gap or not.
+    """
+    return report.termination == "converged" and (
+        report.rank_one_ratio <= rank_tol
+        or closes_gap(report.bound, report.extracted_lambda, rank_tol))
+
+
+def _dual_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray) -> float:
+    # S = Z minus its projection onto L: project(Z) - project(0) is the
+    # affine projection's linear part, which is that projection
+    S = Z - (problem.project(Z) - problem.project(np.zeros_like(Z)))
+    S = 0.5 * (S + S.T)
+    return float(np.linalg.eigvalsh(problem.C + S)[-1] - np.sum(S * X))
 
 
 def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
@@ -241,7 +287,8 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
     X-update: project onto the affine set.  Y-update, the prox of the
     spectral block: "sdp" projects onto the PSD cone; "nnp" shrinks the
     singular values by mu*rho, for the penalized objective
-    tr(CX) - rho*||X||_*.  `run_admm` has the iteration.
+    tr(CX) - rho*||X||_*.  `run_admm` has the iteration.  The report's
+    bound takes Z = -Lam, the last multiplier, into the module's dual bound.
     """
     C = problem.C
     if not C.any():
@@ -258,10 +305,11 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
             return shrink_nuclear(Q, tau)
     else:
         raise ValueError(f"unknown method {method!r}")
-    X, _, iterations, rel, primal, converged = run_admm(
+    X, _, iterations, rel, primal, converged, mu_lam = run_admm(
         problem.project, prox, C, problem.start, cfg)
+    bound = _dual_bound(problem, X, -mu_lam / cfg.mu)
     return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, converged,
-                      problem.moment)
+                      problem.moment, bound)
 
 
 def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:

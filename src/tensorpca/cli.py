@@ -5,9 +5,13 @@ through the chosen relaxation, ``oracle`` prints the reference value, and
 ``experiment`` sweeps seeded random instances, one trial after another, and
 emits one CSV row per (size, method).  ``--method`` picks the relaxation on
 every route, bi-quadratic files and the biquadratic family included.
-Exit codes: 0 for a certified solve, 2 when the solve finished but the
-rank-one certificate failed (the reported component then comes from the
-local-ascent fallback), 1 for any error.
+Exit codes: 0 for a certified solve, 2 when the solve finished uncertified,
+1 for any error.  A solve is certified when it converged and its X is rank
+one, or its value closes the gap to the dual bound (`admm.certifies`); the
+component then comes from the read-out or the local-ascent fallback.  An
+iteration cap certifies nothing.  `solve` prints the bound and the gap on
+the scale of the relaxation it solved: for the odd-order and tri-linear
+routes, the squared form.
 """
 
 from __future__ import annotations
@@ -221,6 +225,8 @@ def _cmd_solve(args) -> int:
         "primal_residual": report.primal_residual,
         "rel_change": report.rel_change,
         "termination": report.termination,
+        "bound": report.bound,
+        "gap": report.gap,
     }
     _emit_solution(info, vectors, args.json)
     return 0 if component.certified else 2

@@ -9,11 +9,12 @@ tensor, and odd-order symmetric problems square into even ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import Relaxation, SolverConfig, solve
+from .admm import Relaxation, SolverConfig, certifies, solve
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import (MultilinearComponent, PrincipalComponent,
                          _ascend_with_restarts, solve_even_order)
@@ -60,12 +61,14 @@ def biquadratic_form(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
-                     seed: int, tol: float = 1e-12, max_sweeps: int = 1000):
+                     seed: int, bound: float = math.nan, rank_tol: float = 0.0,
+                     tol: float = 1e-12, max_sweeps: int = 1000):
     """Alternating eigenvector ascent on g(x, y, x, y), with seeded restarts.
 
     With one block fixed the form is a quadratic in the other whose matrix
     is symmetric by partial symmetry, so each update is a leading
-    eigenvector and the objective never decreases.
+    eigenvector and the objective never decreases.  The restarts are
+    skipped when the ascent from (x0, y0) closes the gap to `bound`.
     """
     def ascend(x, y):
         value = biquadratic_form(g, x, y)
@@ -82,7 +85,7 @@ def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
                 break
         return value, (x, y)
 
-    return _ascend_with_restarts(ascend, (x0, y0), seed)
+    return _ascend_with_restarts(ascend, (x0, y0), seed, bound, rank_tol)
 
 
 def solve_biquadratic(G: np.ndarray, method: str = "sdp",
@@ -94,14 +97,17 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     nuclear-norm penalty for "nnp", solved by the same splitting loop as
     the symmetric case.  A rank-one solution factors as
     vec(x y^T) vec(x y^T)^T; the SVD of the reshaped leading eigenvector
-    splits it into the two unit blocks.  Uncertified solutions fall back to
-    alternating eigenvector ascent.
+    splits it into the two unit blocks.  Solutions that miss the rank-one
+    certificate fall back to alternating eigenvector ascent, and the
+    component is certified when its value closes the gap to the solve's
+    bound (`admm.certifies`).
 
     Returns
     -------
     (component, report)
         BiquadraticComponent and the solver report; the report's
-        extracted_x is the leading eigenvector of X (length n*m).
+        extracted_x is the leading eigenvector of X (length n*m) and its
+        extracted_lambda the component's value.
     """
     cfg = cfg or SolverConfig()
     G = _finite_array(G)
@@ -118,12 +124,12 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
                    method, cfg)
     x, y = _leading_factors(report.extracted_x, n)
     if not report.certified:
-        x, y = _mbi_biquadratic(G, x, y, cfg.seed)
+        x, y = _mbi_biquadratic(G, x, y, cfg.seed, report.bound, cfg.rank_tol)
     # the form is even in x and in y: every sign is a tie
     x, y = _canonical_sign(x), _canonical_sign(y)
-    value = biquadratic_form(G, x, y)
-    return (BiquadraticComponent(value, x, y, report.certified),
-            replace(report, extracted_lambda=value))
+    report = replace(report, extracted_lambda=biquadratic_form(G, x, y))
+    return (BiquadraticComponent(report.extracted_lambda, x, y,
+                                 certifies(report, cfg.rank_tol)), report)
 
 
 def trilinear_to_biquadratic(F: np.ndarray) -> np.ndarray:

@@ -4,18 +4,22 @@ Reads the rank-one certificate of a solve, refines solutions that miss it
 by block-coordinate ascent, deflates, and runs the even-order step of
 `extensions.solve_leading_pc`: solve, extract, fall back.  Both fallbacks
 restart by `_ascend_with_restarts`, best of the read-out point and RESTARTS
-seeded random starts.  This module sits above `admm` and below `extensions`.
+seeded random starts, and stop at the read-out point's ascent when it
+closes the gap to the solve's dual bound.  This module sits above `admm`
+and below `extensions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from . import admm
-from .admm import SolveReport, SolverConfig, _recover_symmetric, _summarize
+from .admm import (SolveReport, SolverConfig, _recover_symmetric, _summarize,
+                   certifies, closes_gap)
 from .matricize import is_super_symmetric, matr, matr_inv
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .tensors import (SuperSymmetricTensor, _as_dense, _fix_sign, _unit,
@@ -148,24 +152,33 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
 RESTARTS = 5
 
 
-def _ascend_with_restarts(ascend, start, seed: int):
+def _ascend_with_restarts(ascend, start, seed: int, bound: float = math.nan,
+                          rank_tol: float = 0.0):
     # both fallbacks' restart policy: ascend(*blocks) -> (value, result) from
     # `start` and from RESTARTS tuples of unit blocks, all drawn with `seed`
-    # before any ascent; the largest value wins, the earliest on a tie
+    # before any ascent; the largest value wins, the earliest on a tie.  The
+    # ascent from `start` is returned at once when it closes the gap to
+    # `bound`: no restart can beat the bound by more than the tolerance
     rng = np.random.default_rng(seed)
-    starts = [start] + [tuple(_unit(rng.standard_normal(b.size)) for b in start)
-                        for _ in range(RESTARTS)]
-    return max((ascend(*blocks) for blocks in starts), key=lambda r: r[0])[1]
+    restarts = [tuple(_unit(rng.standard_normal(b.size)) for b in start)
+                for _ in range(RESTARTS)]
+    first = ascend(*start)
+    if closes_gap(bound, first[0], rank_tol):
+        return first[1]
+    return max([first] + [ascend(*blocks) for blocks in restarts],
+               key=lambda r: r[0])[1]
 
 
-def _refine_not_rank_one(F: SuperSymmetricTensor, x0: np.ndarray,
-                         seed: int) -> np.ndarray:
+def _refine_not_rank_one(F: SuperSymmetricTensor, x0: np.ndarray, seed: int,
+                         bound: float = math.nan,
+                         rank_tol: float = 0.0) -> np.ndarray:
     """Fallback for an uncertified solve: block ascent plus random restarts.
 
     The ascent runs on F + (||F||_F / 4) (x.x)^(m/2), which on the sphere is
     F's form plus a constant, so the argmax is F's.  The shift scales with
     F, so F and sF give the same x.  It starts from x0 and from the restart
-    policy's random unit vectors; the result with the largest F value wins.
+    policy's random unit vectors; the result with the largest F value wins,
+    unless the ascent from x0 already closes the gap to `bound`.
     """
     n, m = F.n, F.m
     target = (F + (F.norm() / 4.0) * identity_power(n, m // 2)).to_dense()
@@ -174,7 +187,8 @@ def _refine_not_rank_one(F: SuperSymmetricTensor, x0: np.ndarray,
         x = mbi_refine(target, [x] * m).x
         return eval_homogeneous(F, x), x
 
-    return _fix_sign(F, _ascend_with_restarts(ascend, (x0,), seed))
+    return _fix_sign(F, _ascend_with_restarts(ascend, (x0,), seed, bound,
+                                              rank_tol))
 
 
 def deflate(F: SuperSymmetricTensor, pc: PrincipalComponent) -> SuperSymmetricTensor:
@@ -187,8 +201,10 @@ def deflate(F: SuperSymmetricTensor, pc: PrincipalComponent) -> SuperSymmetricTe
 def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
     """Even-order step of solve_leading_pc: solve, extract, refine.
 
-    An uncertified solve falls back to block ascent from the extracted x
-    plus random restarts, and the component is flagged uncertified.
+    A solve that misses the rank-one certificate falls back to block ascent
+    from the extracted x plus random restarts; the report then carries the
+    fallback's value, and the component is certified when that value
+    closes the gap to the solve's bound (`admm.certifies`).
     """
     # the solvers are looked up on admm, where benchmarks/tracer.py times them
     solver = {"nnp": admm.solve_nnp, "sdp": admm.solve_sdp}.get(method)
@@ -197,6 +213,9 @@ def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
     report = solver(F, cfg)
     pc = extract(F, report)
     if isinstance(pc, NotRankOne):
-        x = _refine_not_rank_one(F, report.extracted_x, cfg.seed)
-        pc = PrincipalComponent(eval_homogeneous(F, x), x, False)
+        x = _refine_not_rank_one(F, report.extracted_x, cfg.seed, report.bound,
+                                 cfg.rank_tol)
+        report = replace(report, extracted_lambda=eval_homogeneous(F, x))
+        pc = PrincipalComponent(report.extracted_lambda, x,
+                                certifies(report, cfg.rank_tol))
     return pc, report

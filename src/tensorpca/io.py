@@ -69,6 +69,18 @@ def _expect(lines, field: str):
     return number, tokens[1:]
 
 
+def _dims_problem(kind: str, dims: Tuple[int, ...]) -> str:
+    # the dims rule both directions enforce; "" when dims are fine
+    if not dims or any(d < 1 for d in dims):
+        return "dims must be positive integers"
+    if kind == "super_symmetric" and len(set(dims)) != 1:
+        return "super_symmetric tensors are cubical"
+    if kind == "partial_symmetric" and (
+            len(dims) != 4 or dims[0] != dims[2] or dims[1] != dims[3]):
+        return "partial_symmetric dims must be n m n m"
+    return ""
+
+
 def read_tensor(path) -> LoadedTensor:
     """Parse a tensor file; malformed input raises TensorFileError."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -91,13 +103,9 @@ def read_tensor(path) -> LoadedTensor:
         dims = tuple(int(tok) for tok in rest)
     except ValueError:
         raise TensorFileError("dims must be integers", number)
-    if not dims or any(d < 1 for d in dims):
-        raise TensorFileError("dims must be positive integers", number)
-    if kind == "super_symmetric" and len(set(dims)) != 1:
-        raise TensorFileError("super_symmetric tensors are cubical", number)
-    if kind == "partial_symmetric" and (
-            len(dims) != 4 or dims[0] != dims[2] or dims[1] != dims[3]):
-        raise TensorFileError("partial_symmetric dims must be n m n m", number)
+    problem = _dims_problem(kind, dims)
+    if problem:
+        raise TensorFileError(problem, number)
 
     number, rest = _expect(lines, "entries")
     if len(rest) != 1 or not rest[0].isdigit():
@@ -159,7 +167,11 @@ def read_tensor(path) -> LoadedTensor:
 
 
 def write_tensor(path, data, kind: str = None) -> None:
-    """Write a tensor; the kind is inferred unless given explicitly."""
+    """Write a tensor; the kind is inferred unless given explicitly.
+
+    Dims the reader would refuse (empty, zero, or not the kind's shape)
+    raise ValueError before the file is opened.
+    """
     if kind is None:
         kind = "super_symmetric" if isinstance(data, SuperSymmetricTensor) \
             else "general"
@@ -170,13 +182,18 @@ def write_tensor(path, data, kind: str = None) -> None:
         if not isinstance(data, SuperSymmetricTensor):
             raise TypeError("super_symmetric files need a SuperSymmetricTensor")
         dims = (data.n,) * data.m
+    else:
+        data = np.asarray(data, dtype=float)
+        dims = data.shape
+    problem = _dims_problem(kind, dims)
+    if problem:
+        raise ValueError(f"{problem}, got dims {dims}")
+    if kind == "super_symmetric":
         entries = [(key, value) for key, value in sorted(data.items())
                    if value != 0.0]
     else:
-        data = np.asarray(data, dtype=float)
         if kind == "partial_symmetric":
             matr_partial(data)  # raises on a partial-symmetry violation
-        dims = data.shape
         entries = [(idx, float(data[idx])) for idx in np.ndindex(*dims)
                    if data[idx] != 0.0]
 

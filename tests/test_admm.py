@@ -176,9 +176,9 @@ def test_plain_step_in_moment_coordinates_is_the_dense_step(n, d, method):
     cfg = SolverConfig(max_iter=2)
     prox = {"sdp": project_psd,
             "nnp": lambda Q: shrink_nuclear(Q, cfg.mu * cfg.rho)}[method]
-    X, Y, iterations, _, _, _ = run_admm(
+    X, Y, iterations, _, _, _, _ = run_admm(
         moment.project, prox, moment.C, moment.start, cfg)
-    X_dense, Y_dense, _, _, _, _ = run_admm(
+    X_dense, Y_dense, _, _, _, _, _ = run_admm(
         lambda Z: project_C(Z, n, d), prox, matr(F), Y0, cfg)
     assert iterations == 2
     assert np.max(np.abs(X - B.T @ X_dense @ B)) <= 1e-12

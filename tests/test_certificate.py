@@ -1,0 +1,150 @@
+"""The dual bound on every solve, and the certificate that reads it.
+
+`report.bound` is lambda_max(C + S) - <S, X> with S taken from the ADMM's
+last multiplier: an upper bound on the form's maximum at any iterate.  A
+route's value is certified at a converged iterate when X is rank one or the
+value closes the gap to the bound, and the fallback skips its restarts
+once the ascent from the read-out point closes it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tensorpca import (SolverConfig, multistart_local, random_gaussian,
+                       random_partial_symmetric, solve_biquadratic,
+                       solve_leading_pc, solve_nnp, solve_sdp, symmetrize)
+from tensorpca import extensions, extraction
+from tensorpca.extraction import RESTARTS
+
+
+def tied(rng, n, m):
+    # two orthonormal rank-one terms, as in the benchmark's files-mixed:
+    # the maximum 1 is attained at both, so no relaxation is rank one
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    dense = np.zeros((n,) * m)
+    for j in range(2):
+        term = q[:, j]
+        for _ in range(m - 1):
+            term = np.multiply.outer(term, q[:, j])
+        dense += term
+    return symmetrize(dense)
+
+
+def biquadratic_lower(G, starts=10, sweeps=200):
+    # max of G(x, y, x, y) over unit x, y from below: the best of seeded
+    # alternating ascents, each block set to the top eigenvector of the
+    # quadratic form the other block leaves
+    rng = np.random.default_rng(0)
+    best = -np.inf
+    for _ in range(starts):
+        y = rng.standard_normal(G.shape[1])
+        y /= np.linalg.norm(y)
+        for _ in range(sweeps):
+            x = np.linalg.eigh(np.einsum("ijkl,j,l->ik", G, y, y))[1][:, -1]
+            y = np.linalg.eigh(np.einsum("ijkl,i,k->jl", G, x, x))[1][:, -1]
+        best = max(best, float(np.einsum("ijkl,i,j,k,l->", G, x, y, x, y)))
+    return best
+
+
+@st.composite
+def bound_case(draw):
+    method = draw(st.sampled_from(("sdp", "nnp")))
+    max_iter = draw(st.sampled_from((1, 2, 5)))
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from((4, 6)))
+        n = draw(st.integers(1, 4 if m == 4 else 3))
+        return ("symmetric", (n, m), seed), method, max_iter
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    return ("partial", (n, m), seed), method, max_iter
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(bound_case())
+def test_bound_is_above_the_oracle_at_any_iterate(case):
+    (route, (n, m), seed), method, max_iter = case
+    cfg = SolverConfig(max_iter=max_iter)
+    if route == "symmetric":
+        F = random_gaussian(n, m, seed)
+        report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](F, cfg)
+        lower = multistart_local(F, 20, 0).value
+    else:
+        G = random_partial_symmetric(n, m, seed)
+        _, report = solve_biquadratic(G, method, cfg)
+        lower = biquadratic_lower(G)
+    assert np.isfinite(report.bound)
+    assert report.bound >= lower - 1e-9 * max(abs(lower), abs(report.bound))
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+def test_tied_instances_certify_by_gap(method):
+    rng = np.random.default_rng(123)
+    for n, m in ((6, 4), (5, 3)) * 2:
+        pc, report = solve_leading_pc(tied(rng, n, m), method)
+        assert report.termination == "converged"
+        assert not report.certified  # the rank-one certificate fails
+        assert pc.certified
+        assert pc.lambda_star == pytest.approx(1.0, abs=1e-6)
+        assert -1e-12 <= report.gap <= 1e-6 * abs(report.bound)
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+def test_quadrilinear_arrays_certify_by_gap(method):
+    # the stacked embedding's sign flip keeps X rank two (0 of 20 rank
+    # one), and the fallback's value closes the gap on every seed
+    for s in range(20):
+        F = np.random.default_rng(s).standard_normal((3, 3, 3, 3))
+        comp, report = solve_leading_pc(F, method)
+        assert not report.certified
+        assert comp.certified, s
+        assert report.gap <= 1e-6 * abs(report.bound)
+
+
+def count_ascents(monkeypatch, module):
+    # wrap every ascent of the restart policy that `module` calls
+    calls = []
+    original = extraction._ascend_with_restarts
+
+    def spy(ascend, *args):
+        def counted(*blocks):
+            calls.append(blocks)
+            return ascend(*blocks)
+        return original(counted, *args)
+
+    monkeypatch.setattr(module, "_ascend_with_restarts", spy)
+    return calls
+
+
+def quadrilinear():
+    return np.random.default_rng(0).standard_normal((3, 3, 3, 3))
+
+
+def tied_quartic():
+    return tied(np.random.default_rng(123), 6, 4)
+
+
+@pytest.mark.parametrize("make, module", [(tied_quartic, extraction),
+                                          (quadrilinear, extensions)])
+def test_fallback_stops_at_the_first_ascent_once_the_gap_closes(
+        monkeypatch, make, module):
+    calls = count_ascents(monkeypatch, module)
+    comp, report = solve_leading_pc(make(), "sdp")
+    assert comp.certified and len(calls) == 1
+    # one iteration leaves the gap open: the read-out start and every restart
+    calls.clear()
+    comp, report = solve_leading_pc(make(), "sdp", SolverConfig(max_iter=1))
+    assert report.gap > 1e-6 * abs(report.bound)
+    assert not comp.certified and len(calls) == 1 + RESTARTS
+
+
+@pytest.mark.parametrize("make", [tied_quartic, quadrilinear])
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+def test_capped_solve_is_never_certified_when_its_gap_closes(make, method):
+    # one iteration short of convergence the bound is already tight
+    _, converged = solve_leading_pc(make(), method)
+    cfg = SolverConfig(max_iter=converged.iterations - 1)
+    comp, report = solve_leading_pc(make(), method, cfg)
+    assert report.termination == "iter_cap"
+    assert report.gap <= 1e-6 * abs(report.bound)
+    assert not comp.certified

@@ -170,12 +170,14 @@ def test_uncertified_solve_falls_back_to_ascent():
     # still return a unit point attaining the shared value.  The peaks sit
     # at (e1 +- e2)/sqrt(2), so the reflection x2 -> -x2 swaps them and
     # fixes the start e1 e1^T: every iterate keeps the symmetry, and no
-    # splitting can reach either rank-one vertex
+    # splitting can reach either rank-one vertex.  The fallback's value
+    # closes the gap to the dual bound, which certifies it
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
     v = np.array([1.0, -1.0]) / np.sqrt(2.0)
     F = rank_one(1.0, u, 4) + rank_one(1.0, v, 4)
     pc, report = solve_leading_pc(F, "sdp", SolverConfig(seed=3))
-    assert not pc.certified
+    assert pc.certified
+    assert report.bound - pc.lambda_star <= 1e-6 * abs(report.bound)
     assert report.rank_one_ratio > 1e-6
     assert np.linalg.norm(pc.x_star) == pytest.approx(1.0, abs=1e-12)
     assert pc.lambda_star == pytest.approx(1.0, abs=1e-6)

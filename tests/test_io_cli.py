@@ -167,6 +167,30 @@ def test_writer_input_checks(tmp_path):
         write_tensor(tmp_path / "x", bad, "partial_symmetric")
 
 
+@pytest.mark.parametrize("data, kind", [
+    (np.zeros((0, 0, 0, 0)), "general"),
+    (np.zeros(()), "general"),
+    (np.zeros((0, 0, 0, 0)), "partial_symmetric"),
+    (np.zeros((2, 3, 3, 2)), "partial_symmetric")])
+def test_writer_refuses_dims_the_reader_refuses(tmp_path, data, kind):
+    path = tmp_path / "x"
+    with pytest.raises(ValueError, match="dims"):
+        write_tensor(path, data, kind)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "general", "--n", "0"],
+    ["--kind", "general", "--n", "2", "--order", "0"],
+    ["--kind", "partial_symmetric", "--n", "0"]])
+def test_cli_gen_refuses_empty_dims(tmp_path, capsys, args):
+    path = tmp_path / "e.tensor"
+    assert main(["gen", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "dims" in captured.err
+    assert captured.out == "" and not path.exists()
+
+
 def test_cli_gen_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.tensor"), str(tmp_path / "b.tensor")
     assert main(["gen", a, "--n", "3", "--seed", "7"]) == 0
@@ -191,6 +215,19 @@ def test_cli_solve_certified_instance(tmp_path, capsys):
     nnp = json.loads(capsys.readouterr().out)
     assert code == 0
     assert nnp["lambda"] == pytest.approx(payload["lambda"], abs=1e-4)
+
+
+@pytest.mark.parametrize("extra, expected", [([], 0), (["--max-iter", "1"], 2)])
+def test_cli_solve_prints_bound_and_gap(tmp_path, capsys, extra, expected):
+    # the bound holds at any iterate, so the gap is nonnegative whether or
+    # not the solve certifies
+    path = str(tmp_path / "t.tensor")
+    main(["gen", path, "--n", "3", "--seed", "0"])
+    assert main(["solve", path, "--json", *extra]) == expected
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certified"] is (expected == 0)
+    assert math.isfinite(payload["bound"]) and math.isfinite(payload["gap"])
+    assert payload["gap"] >= -1e-12 * abs(payload["bound"])
 
 
 def test_cli_solve_biquadratic_file(tmp_path, capsys):
@@ -258,11 +295,15 @@ def test_cli_solver_defaults_are_solver_config(tmp_path, monkeypatch, capsys):
 
 def test_cli_solve_uses_fallback_exit_code(tmp_path, capsys):
     # a generic 4-way array has a two-sided sign symmetry, so the stacked
-    # relaxation lands on a flat face and the certificate fails by design
+    # relaxation lands on a flat face and the rank-one certificate fails by
+    # design; the fallback's value then closes the gap to the dual bound.
+    # One iteration stops on the cap, which certifies nothing
     path = str(tmp_path / "g.tensor")
     main(["gen", path, "--n", "2", "--order", "4", "--kind", "general",
           "--seed", "0"])
-    code = main(["solve", path, "--json"])
+    assert main(["solve", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is True
+    code = main(["solve", path, "--json", "--max-iter", "1"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert payload["certified"] is False

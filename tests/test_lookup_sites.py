@@ -5,11 +5,17 @@ outside the package, so a few modules import a function only for the
 tracer to find it there.  Each such import must be a (module, attribute)
 row of the tracer's `PATCHES`; an import the tracer no longer patches is
 dead and fails here.  `PATCHES` is read with `ast`, without importing the
-benchmark.
+benchmark.  So are the indices of `run_admm`'s result that the tracer's
+`_admm_result` reads, which must stay the iteration count and the
+convergence flag.
 """
 
 import ast
 import pathlib
+
+from tensorpca import SolverConfig, random_gaussian, solve_sdp
+from tensorpca.admm import _symmetric_relaxation, run_admm
+from tensorpca.projection import project_psd
 
 PACKAGE = "tensorpca"
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -58,3 +64,29 @@ def test_every_unread_import_is_a_tracer_site():
                   (SRC / f"{module}.py").read_text(encoding="utf-8")))}
     dead = unread - patched_sites()
     assert not dead, f"imported for the tracer only, but not patched: {sorted(dead)}"
+
+
+def admm_result_indices():
+    # {key: index} of the run_admm result fields tracer._admm_result reads
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "_admm_result"]
+    (returned,) = [node.value for node in ast.walk(function)
+                   if isinstance(node, ast.Return)]
+    return {key.value: value.args[0].slice.value
+            for key, value in zip(returned.keys, returned.values)}
+
+
+def test_run_admm_result_keeps_the_tracer_indices():
+    assert admm_result_indices() == {"iterations": 2, "converged": 5}
+    F = random_gaussian(3, 4, 0)
+    problem = _symmetric_relaxation(F)
+
+    def run(cfg):
+        return run_admm(problem.project, project_psd, problem.C, problem.start,
+                        cfg)
+
+    capped = run(SolverConfig(max_iter=3))
+    assert capped[2] == 3 and capped[5] is False
+    converged = run(SolverConfig())
+    assert converged[2] == solve_sdp(F).iterations and converged[5] is True
