@@ -12,7 +12,9 @@ set (symmetric, trace zero), any S orthogonal to L gives, for every
 trace-one PSD X' in the set, tr(C X') = tr((C + S) X') - <S, X'> <=
 lambda_max(C + S) - <S, X> at any X in the set, capped iterates included.
 `solve` takes S from the ADMM's last multiplier, so the bound is tight at
-a solution; `certifies` is the one certificate rule that reads it.
+a solution; `certifies` is the one certificate rule that reads it.  Given
+the value a route reads out of an iterate, `solve` also stops the ADMM as
+soon as that value closes the gap to the bound at the same iterate.
 
 The symmetric relaxation runs on K x K moment matrices, K = C(n+d-1, d),
 not on n**d x n**d ones: every iterate lies in Sym^d (x) Sym^d, and the
@@ -76,8 +78,10 @@ class SolverConfig:
             raise ValueError("rho, mu, tol and rank_tol must be finite")
         if min(floats) <= 0:
             raise ValueError("rho, mu, tol and rank_tol must be positive")
-        if self.tol >= 1.0:
-            raise ValueError("tol must be below 1")
+        # sigma_2/sigma_1 <= 1 always, so a rank_tol of 1 would certify
+        # every X as rank one, and every value >= 0 under a positive bound
+        if self.tol >= 1.0 or self.rank_tol >= 1.0:
+            raise ValueError("tol and rank_tol must be below 1")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
@@ -88,14 +92,20 @@ class SolverConfig:
 class SolveReport:
     """Diagnostics of one solve; X is the final feasible primal iterate.
 
-    certified: the rank-one certificate, the solve converged and
-    rank_one_ratio <= cfg.rank_tol.  bound: lambda_max(C + S) - <S, X>, an
-    upper bound on the relaxation and so on the form's maximum, valid at
-    any iterate (nan for a bare matrix, which has no multiplier).
-    extracted_lambda is the value the route returns on this relaxation's
-    form, the fallback's when it ran, and gap = bound - extracted_lambda.
-    A returned value is certified by `certifies`: rank one, or a closed
-    gap, at a converged iterate.
+    termination: "converged" when relative change plus primal residual
+    reached cfg.tol, "gap" when the ADMM stopped earlier because the value
+    read out of X closed the gap to the bound at X (only when the caller
+    asked for it, as `extraction.solve_even_order` does), and "iter_cap"
+    when cfg.max_iter ran out first.  certified: the rank-one certificate,
+    the solve converged and rank_one_ratio <= cfg.rank_tol.  bound:
+    lambda_max(C + S) - <S, X>, an upper bound on the relaxation and so on
+    the form's maximum, valid at any iterate (nan for a bare matrix, which
+    has no multiplier).  extracted_lambda is the value the route returns
+    on this relaxation's form, the refinement's or the fallback's when one
+    ran, and gap = bound - extracted_lambda.  A returned value is certified
+    by `certifies`: rank one at a converged iterate, or a closed gap at an
+    iterate the cap did not stop.  A "gap" iterate's objective is that of
+    an unconverged X, about rel_change + primal_residual from the optimum.
     A feasible X of the symmetric relaxation is fixed by one value per
     2d-class, so when `moment` holds its (n, d) the report keeps those S =
     C(n+2d-1, 2d) `values` and `X` lifts them to n**d x n**d when read.
@@ -111,7 +121,7 @@ class SolveReport:
     neg_eig_mass: float
     extracted_lambda: float
     extracted_x: np.ndarray
-    termination: str  # "converged" | "iter_cap"
+    termination: str  # "converged" | "gap" | "iter_cap"
     certified: bool
     bound: float = math.nan
     values: np.ndarray = field(repr=False, default=None)
@@ -159,9 +169,14 @@ def neg_eig_mass(X: np.ndarray) -> float:
 # bring it back.
 MEMORY = 5
 REGULARIZATION = 1e-10
+# relative change plus primal residual at the first gap check; later checks
+# wait for that sum to halve.  A check costs about two iterations (two
+# symmetric eigenproblems), so checking every iteration doubled solve times
+GAP_CHECK_START = 1e-2
 
 
-def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
+def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
+             *, stop=None):
     """The splitting loop shared by all drivers, as an accelerated fixed point.
 
     With Lam the multiplier, X-update X = project(Y + mu*Lam) and Y-update
@@ -183,9 +198,13 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
     J. Optim. 2020, as in SCS).
 
     Stops when ||X_k - X_{k-1}||_F / ||X_{k-1}||_F + ||X_k - Y_k||_F <= tol,
-    with X_0 = Y0.  Every X_{k-1} has trace one, so the denominator is at
-    least 1/sqrt(N).  Returns (X, Y, iterations, rel_change, primal,
-    converged, mu*Lam) for the X and Y the last check measured.
+    with X_0 = Y0, or at iteration cfg.max_iter.  Every X_{k-1} has trace
+    one, so the denominator is at least 1/sqrt(N).  With `stop`, it also
+    stops when stop(X_k, mu*Lam_k) holds, asked only after both tests above
+    failed, first once that sum is at most GAP_CHECK_START and again each
+    time it falls to half its value at the last call.  Returns (X, Y,
+    iterations, rel_change, primal, stopped, mu*Lam) for the X and Y the
+    last check measured; stopped is False only when the cap ended the loop.
     """
     mu_C = cfg.mu * C
     dG = np.zeros((MEMORY, Y0.size))  # residual differences, one per row
@@ -197,6 +216,7 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
     X_prev, X = Y0, project(Y0)
     Q = X + mu_C
     extrapolated, last_residual = False, np.inf
+    check_at = GAP_CHECK_START
     for iteration in itertools.count(1):
         Y = prox(Q)
         rel = float(np.linalg.norm(X - X_prev)) / float(np.linalg.norm(X_prev))
@@ -204,6 +224,11 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
         if rel + primal <= cfg.tol or iteration == cfg.max_iter:
             return (X, Y, iteration, rel, primal, rel + primal <= cfg.tol,
                     Y - Q + mu_C)
+        if stop is not None and rel + primal <= check_at:
+            check_at = 0.5 * (rel + primal)
+            mu_lam = Y - Q + mu_C
+            if stop(X, mu_lam):
+                return X, Y, iteration, rel, primal, True, mu_lam
         X_next = project(2.0 * Y - Q + mu_C)
         step = X_next - Y
         g = step.ravel()
@@ -235,7 +260,7 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig):
 
 def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
               iterations: int = 0, rel: float = 0.0, primal: float = 0.0,
-              converged: bool = True,
+              termination: str = "converged",
               moment: Optional[Tuple[int, int]] = None,
               bound: float = math.nan) -> SolveReport:
     # report on X from one eigendecomposition; a bare X counts as converged.
@@ -251,9 +276,9 @@ def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
         objective=objective, nuclear_norm=float(np.sum(np.abs(w))),
         iterations=iterations, primal_residual=primal, rel_change=rel,
         rank_one_ratio=ratio, neg_eig_mass=float(-np.sum(w[w < 0.0])),
-        extracted_lambda=objective, extracted_x=v,
-        termination="converged" if converged else "iter_cap",
-        certified=bool(converged and ratio <= rank_tol), bound=bound,
+        extracted_lambda=objective, extracted_x=v, termination=termination,
+        certified=bool(termination == "converged" and ratio <= rank_tol),
+        bound=bound,
         values=values, moment=moment)
 
 
@@ -265,23 +290,30 @@ def closes_gap(bound: float, value: float, rank_tol: float) -> bool:
 def certifies(report: SolveReport, rank_tol: float) -> bool:
     """The certificate of the value a route returns, report.extracted_lambda.
 
-    The solve converged, and X is rank one or the value closes the gap to
-    the dual bound.  An iteration cap certifies nothing, closed gap or not.
+    X is rank one at a converged iterate, or the value closes the gap to
+    the dual bound at an iterate that convergence or the gap stop ended.
+    An iteration cap certifies nothing, closed gap or not.
     """
-    return report.termination == "converged" and (
-        report.rank_one_ratio <= rank_tol
-        or closes_gap(report.bound, report.extracted_lambda, rank_tol))
+    if report.termination == "iter_cap":
+        return False
+    return ((report.termination == "converged"
+             and report.rank_one_ratio <= rank_tol)
+            or closes_gap(report.bound, report.extracted_lambda, rank_tol))
 
 
-def _dual_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray) -> float:
-    # S = Z minus its projection onto L: project(Z) - project(0) is the
-    # affine projection's linear part, which is that projection
-    S = Z - (problem.project(Z) - problem.project(np.zeros_like(Z)))
+def _dual_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray,
+                zero: np.ndarray) -> float:
+    # S = Z minus its projection onto L: project(Z) - zero, with zero =
+    # project(0), is the affine projection's linear part, which is that
+    # projection
+    S = Z - (problem.project(Z) - zero)
     S = 0.5 * (S + S.T)
     return float(np.linalg.eigvalsh(problem.C + S)[-1] - np.sum(S * X))
 
 
-def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
+def solve(problem: Relaxation, method: str, cfg: SolverConfig,
+          value: Optional[Callable[[np.ndarray], float]] = None
+          ) -> SolveReport:
     """Run a relaxation through the ADMM and report on its last X.
 
     X-update: project onto the affine set.  Y-update, the prox of the
@@ -289,6 +321,10 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
     singular values by mu*rho, for the penalized objective
     tr(CX) - rho*||X||_*.  `run_admm` has the iteration.  The report's
     bound takes Z = -Lam, the last multiplier, into the module's dual bound.
+    `value(X)`, when given, is the value the route reads out of an iterate:
+    the ADMM then also stops, with termination "gap", once
+    closes_gap(bound at X, value(X), cfg.rank_tol) holds at one of
+    `run_admm`'s checks.
     """
     C = problem.C
     if not C.any():
@@ -305,10 +341,18 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig) -> SolveReport:
             return shrink_nuclear(Q, tau)
     else:
         raise ValueError(f"unknown method {method!r}")
-    X, _, iterations, rel, primal, converged, mu_lam = run_admm(
-        problem.project, prox, C, problem.start, cfg)
-    bound = _dual_bound(problem, X, -mu_lam / cfg.mu)
-    return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, converged,
+    zero = problem.project(np.zeros_like(C))
+    stop = None
+    if value is not None:
+        def stop(X, mu_lam):
+            bound = _dual_bound(problem, X, -mu_lam / cfg.mu, zero)
+            return closes_gap(bound, value(X), cfg.rank_tol)
+    X, _, iterations, rel, primal, stopped, mu_lam = run_admm(
+        problem.project, prox, C, problem.start, cfg, stop=stop)
+    bound = _dual_bound(problem, X, -mu_lam / cfg.mu, zero)
+    termination = ("converged" if rel + primal <= cfg.tol
+                   else "gap" if stopped else "iter_cap")
+    return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, termination,
                       problem.moment, bound)
 
 
@@ -330,19 +374,43 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
     return Relaxation(C, lambda M: project_moment_C(M, n, d), Y0, (n, d))
 
 
+def _read_out(F: SuperSymmetricTensor, v: np.ndarray) -> np.ndarray:
+    # x: the left factor of v, the lifted leading eigenvector of X, signed
+    # by the form
+    return _fix_sign(F, _leading_factors(v, F.n)[0])
+
+
 def _recover_symmetric(F: SuperSymmetricTensor, report: SolveReport) -> SolveReport:
-    # x: the leading eigenvector's left factor, signed by the form; lambda = F(x)
-    x = _fix_sign(F, _leading_factors(report.extracted_x, F.n)[0])
+    # the report's x from its read-out, and lambda = F(x)
+    x = _read_out(F, report.extracted_x)
     return replace(report, extracted_lambda=eval_homogeneous(F, x), extracted_x=x)
 
 
-def solve_nnp(F: SuperSymmetricTensor, cfg: SolverConfig = None) -> SolveReport:
-    """Maximize tr(FX) - rho*||X||_* over the trace-one symmetric set."""
-    cfg = cfg or SolverConfig()
-    return _recover_symmetric(F, solve(_symmetric_relaxation(F), "nnp", cfg))
+def _solve_symmetric(F: SuperSymmetricTensor, method: str, cfg: SolverConfig,
+                     stop_on_gap: bool) -> SolveReport:
+    problem = _symmetric_relaxation(F)
+    value = None
+    if stop_on_gap:
+        def value(X):
+            v = lift_moment(_rank_one_eig(X)[3], *problem.moment)
+            return eval_homogeneous(F, _read_out(F, v))
+    return _recover_symmetric(F, solve(problem, method, cfg, value))
 
 
-def solve_sdp(F: SuperSymmetricTensor, cfg: SolverConfig = None) -> SolveReport:
-    """Maximize tr(FX) over the trace-one symmetric set intersected with PSD."""
-    cfg = cfg or SolverConfig()
-    return _recover_symmetric(F, solve(_symmetric_relaxation(F), "sdp", cfg))
+def solve_nnp(F: SuperSymmetricTensor, cfg: SolverConfig = None, *,
+              stop_on_gap: bool = False) -> SolveReport:
+    """Maximize tr(FX) - rho*||X||_* over the trace-one symmetric set.
+
+    With stop_on_gap the ADMM also stops once F at the read-out x closes
+    the gap to the dual bound (termination "gap"); the pipeline sets it.
+    """
+    return _solve_symmetric(F, "nnp", cfg or SolverConfig(), stop_on_gap)
+
+
+def solve_sdp(F: SuperSymmetricTensor, cfg: SolverConfig = None, *,
+              stop_on_gap: bool = False) -> SolveReport:
+    """Maximize tr(FX) over the trace-one symmetric set intersected with PSD.
+
+    stop_on_gap as for `solve_nnp`.
+    """
+    return _solve_symmetric(F, "sdp", cfg or SolverConfig(), stop_on_gap)

@@ -9,9 +9,11 @@ Exit codes: 0 for a certified solve, 2 when the solve finished uncertified,
 1 for any error.  A solve is certified when it converged and its X is rank
 one, or its value closes the gap to the dual bound (`admm.certifies`); the
 component then comes from the read-out or the local-ascent fallback.  An
-iteration cap certifies nothing.  `solve` prints the bound and the gap on
-the scale of the relaxation it solved: for the odd-order and tri-linear
-routes, the squared form.
+iteration cap certifies nothing.  `solve` prints the dual bound and the
+gap, bound - lambda, on the scale of the printed lambda on every route (the
+component's bound); `termination` is "converged", "gap" (the symmetric
+routes' ADMM stopped once its read-out value closed the gap to the bound)
+or "iter_cap".
 """
 
 from __future__ import annotations
@@ -225,8 +227,8 @@ def _cmd_solve(args) -> int:
         "primal_residual": report.primal_residual,
         "rel_change": report.rel_change,
         "termination": report.termination,
-        "bound": report.bound,
-        "gap": report.gap,
+        "bound": component.bound,
+        "gap": component.bound - component.lambda_star,
     }
     _emit_solution(info, vectors, args.json)
     return 0 if component.certified else 2

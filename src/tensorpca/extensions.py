@@ -5,6 +5,8 @@ A bi-quadratic form over (x, y) has its own relaxation, run through
 general even-order multilinear problem embeds into one larger symmetric
 tensor, and odd-order symmetric problems square into even ones.
 `solve_leading_pc` picks the route; even orders end in `extraction`.
+Each reduction scales the maximum by a known map, and maps the solve's dual
+bound back onto the returned component's scale with it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class BiquadraticComponent:
     x_star: np.ndarray
     y_star: np.ndarray
     certified: bool
+    bound: float = math.nan
 
 
 def random_partial_symmetric(n: int, m: int, seed: int) -> np.ndarray:
@@ -128,8 +131,10 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     # the form is even in x and in y: every sign is a tie
     x, y = _canonical_sign(x), _canonical_sign(y)
     report = replace(report, extracted_lambda=biquadratic_form(G, x, y))
-    return (BiquadraticComponent(report.extracted_lambda, x, y,
-                                 certifies(report, cfg.rank_tol)), report)
+    component = BiquadraticComponent(report.extracted_lambda, x, y,
+                                     certifies(report, cfg.rank_tol),
+                                     report.bound)
+    return component, report
 
 
 def trilinear_to_biquadratic(F: np.ndarray) -> np.ndarray:
@@ -215,7 +220,9 @@ def solve_trilinear(F: np.ndarray, method: str = "sdp",
     x, y = comp.x_star, comp.y_star
     z = np.tensordot(F, np.outer(x, y), axes=([0, 1], [0, 1]))
     blocks, value = _fix_last_sign(F, [x, y, _unit(z)])
-    return MultilinearComponent(value, blocks, comp.certified), report
+    # the bi-quadratic maximum is the square of F's
+    return MultilinearComponent(value, blocks, comp.certified,
+                                math.sqrt(comp.bound)), report
 
 
 def solve_quadrilinear(F: np.ndarray, method: str = "sdp",
@@ -228,7 +235,10 @@ def solve_quadrilinear(F: np.ndarray, method: str = "sdp",
     x1, x3 = _split_blocks(comp.x_star, (n1, n3))
     x2, x4 = _split_blocks(comp.y_star, (n2, n4))
     blocks, value = _fix_last_sign(F, [x1, x2, x3, x4])
-    return MultilinearComponent(value, blocks, comp.certified), report
+    # a unit stacked vector splits its norm evenly between its two blocks at
+    # the maximum, so the stacked form's maximum is F's over 4
+    return MultilinearComponent(value, blocks, comp.certified,
+                                4.0 * comp.bound), report
 
 
 def solve_multilinear(F: np.ndarray, method: str = "sdp",
@@ -238,7 +248,11 @@ def solve_multilinear(F: np.ndarray, method: str = "sdp",
     T = multilinear_embed(F)
     pc, report = solve_leading_pc(T, method, cfg)
     blocks, value = _fix_last_sign(F, _split_blocks(pc.x_star, F.shape))
-    return MultilinearComponent(value, blocks, pc.certified), report
+    # a unit stacked vector puts 1/sqrt(2d) of its norm in each of the 2d
+    # blocks at the maximum, so the embedding's maximum is F's over (2d)^d
+    scale = F.ndim ** (F.ndim // 2)
+    return MultilinearComponent(value, blocks, pc.certified,
+                                scale * pc.bound), report
 
 
 def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
@@ -272,8 +286,9 @@ def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
         # odd order: maximize the squared norm of the once-contracted form
         pc_even, report = solve_leading_pc(odd_to_even(F), method, cfg)
         x = _fix_sign(F, pc_even.x_star)
-        return PrincipalComponent(eval_homogeneous(F, x), x,
-                                  pc_even.certified), report
+        # the squared form's maximum is the square of F's
+        return PrincipalComponent(eval_homogeneous(F, x), x, pc_even.certified,
+                                  math.sqrt(pc_even.bound)), report
 
     t = _finite_array(F)
     if t.ndim == 3:

@@ -1,7 +1,8 @@
 """Turning a solve into a tensor principal component.
 
-Reads the rank-one certificate of a solve, refines solutions that miss it
-by block-coordinate ascent, deflates, and runs the even-order step of
+Reads the certificate of a solve, polishes a value the duality gap
+certifies by Newton steps, refines solutions that miss the certificate by
+block-coordinate ascent, deflates, and runs the even-order step of
 `extensions.solve_leading_pc`: solve, extract, fall back.  Both fallbacks
 restart by `_ascend_with_restarts`, best of the read-out point and RESTARTS
 seeded random starts, and stop at the read-out point's ascent when it
@@ -32,6 +33,7 @@ __all__ = [
     "MultilinearComponent",
     "MbiResult",
     "extract",
+    "newton_refine",
     "mbi_refine",
     "deflate",
     "solve_even_order",
@@ -40,10 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrincipalComponent:
-    """Leading component of a symmetric form: value, unit argmax, certificate."""
+    """Leading component of a symmetric form: value, unit argmax, certificate.
+
+    bound is the solve's dual bound on the form's maximum, on the scale of
+    lambda_star (nan when no solve gave one).
+    """
     lambda_star: float
     x_star: np.ndarray
     certified: bool
+    bound: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -55,10 +62,14 @@ class NotRankOne:
 
 @dataclass(frozen=True)
 class MultilinearComponent:
-    """Leading component of a multilinear form: value and one unit vector per mode."""
+    """Leading component of a multilinear form: value and one unit vector per mode.
+
+    bound: the solve's dual bound, mapped onto lambda_star's scale.
+    """
     lambda_star: float
     xs: Tuple[np.ndarray, ...]
     certified: bool
+    bound: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -73,14 +84,18 @@ def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.ra
             ) -> Union[PrincipalComponent, NotRankOne]:
     """Recover (lambda*, x*) for the even-order F from a solve or a matrix.
 
-    `solution` is a report of solve_nnp or solve_sdp, whose certificate is
-    read as is, or a bare matrix, which must be feasible for the trace-one
-    symmetric set and is certified by the same rule (with `rank_tol`) as a
-    converged point.  A report's X is a projection output, so it is not
-    checked again: an absolute trace test fails on the rounding of a
-    large-norm tensor's capped iterate.  A certified solution gives the x
-    read off its leading eigenvector and lambda* = F(x); otherwise a
-    NotRankOne carrying the spectrum is returned.
+    `solution` is a report of solve_nnp or solve_sdp, or a bare matrix,
+    which must be feasible for the trace-one symmetric set and counts as a
+    converged point without a bound.  Either is certified by
+    `admm.certifies` with `rank_tol`: X rank one at a converged point, or
+    the read-out value within rank_tol of the dual bound at a point the
+    iteration cap did not stop.  A report's X is a projection output, so
+    it is not checked again: an absolute trace test fails on the rounding
+    of a large-norm tensor's capped iterate.  A certified solution gives
+    the x read off its leading eigenvector and lambda* = F(x); when the
+    report's rank-one certificate does not hold, the gap alone vouches for
+    that x, to about rank_tol, and `newton_refine` polishes it first.
+    Otherwise a NotRankOne carrying the spectrum is returned.
     """
     if F.m % 2:
         raise ValueError("extraction needs an even order")
@@ -95,9 +110,62 @@ def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.ra
             raise ValueError(
                 f"X is infeasible: symmetry violated by {violation:.3e}")
         report = _recover_symmetric(F, _summarize(X, matr(F), rank_tol))
-    if not report.certified:
+    if not certifies(report, rank_tol):
         return NotRankOne(report.rank_one_ratio, np.linalg.eigvalsh(report.X))
-    return PrincipalComponent(report.extracted_lambda, report.extracted_x, True)
+    if report.certified:
+        return PrincipalComponent(report.extracted_lambda, report.extracted_x,
+                                  True, report.bound)
+    x = newton_refine(F, report.extracted_x)
+    return PrincipalComponent(eval_homogeneous(F, x), x, True, report.bound)
+
+
+# quadratic convergence takes a gap stop's read-out, about 1e-7 below the
+# optimum, to rounding in one or two steps; later steps move by rounding
+NEWTON_STEPS = 4
+
+
+def newton_refine(F: SuperSymmetricTensor, x: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton steps on the sphere toward a Z-eigenpair of F.
+
+    x is a unit vector.  With lambda = F(x), H = F x^(m-2) (an n x n
+    matrix) and P = I - x x^T, each step solves
+    (P ((m-1) H - lambda I) P + x x^T) s = F x^(m-1) - lambda x and moves
+    to unit(x - s) (Jaffe, Weiss & Nadler, SIAM J. Matrix Anal. Appl.
+    2018).  Near a local maximum the steps converge
+    quadratically.  A step is kept only if F does not fall, and the steps
+    stop once F stops rising or after NEWTON_STEPS, so F(result) >= F(x).
+    The result is signed by the form.
+    """
+    t, m = F.to_dense(), F.m
+
+    def contract(x):
+        # H = F x^(m-2), F x^(m-1) and F(x), each contracting the leading
+        # mode as eval_homogeneous does, so F(x) is bitwise its value
+        H = t
+        for _ in range(m - 2):
+            H = np.tensordot(H, x, axes=([0], [0]))
+        g = np.tensordot(H, x, axes=([0], [0]))
+        return H, g, float(np.tensordot(g, x, axes=([0], [0])))
+
+    eye = np.eye(F.n)
+    x = np.asarray(x, dtype=float)
+    H, g, value = contract(x)
+    for _ in range(NEWTON_STEPS):
+        P = eye - np.outer(x, x)
+        A = P @ ((m - 1) * H - value * eye) @ P + np.outer(x, x)
+        try:
+            s = np.linalg.solve(A, g - value * x)
+        except np.linalg.LinAlgError:
+            break
+        candidate = _unit(x - s)
+        step = contract(candidate)
+        if not step[2] >= value:  # fell, or nan from a near-singular system
+            break
+        rising = step[2] > value
+        x, (H, g, value) = candidate, step
+        if not rising:
+            break
+    return _fix_sign(F, x)
 
 
 def _block_gradient(t: np.ndarray, xs: Sequence[np.ndarray], j: int) -> np.ndarray:
@@ -201,21 +269,26 @@ def deflate(F: SuperSymmetricTensor, pc: PrincipalComponent) -> SuperSymmetricTe
 def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
     """Even-order step of solve_leading_pc: solve, extract, refine.
 
-    A solve that misses the rank-one certificate falls back to block ascent
-    from the extracted x plus random restarts; the report then carries the
-    fallback's value, and the component is certified when that value
-    closes the gap to the solve's bound (`admm.certifies`).
+    The solve stops on the duality gap (`stop_on_gap`): once the value read
+    out of an iterate closes the gap to the dual bound there, the report's
+    termination is "gap" and `extract` polishes that x by Newton steps.  A
+    solve whose value no certificate covers falls back to block ascent from
+    the extracted x plus random restarts, and the component is certified
+    when that value closes the gap to the solve's bound (`admm.certifies`).
+    The report then carries the returned value as extracted_lambda.
     """
     # the solvers are looked up on admm, where benchmarks/tracer.py times them
     solver = {"nnp": admm.solve_nnp, "sdp": admm.solve_sdp}.get(method)
     if solver is None:
         raise ValueError(f"unknown method {method!r}")
-    report = solver(F, cfg)
-    pc = extract(F, report)
+    report = solver(F, cfg, stop_on_gap=True)
+    pc = extract(F, report, cfg.rank_tol)
     if isinstance(pc, NotRankOne):
         x = _refine_not_rank_one(F, report.extracted_x, cfg.seed, report.bound,
                                  cfg.rank_tol)
         report = replace(report, extracted_lambda=eval_homogeneous(F, x))
         pc = PrincipalComponent(report.extracted_lambda, x,
-                                certifies(report, cfg.rank_tol))
+                                certifies(report, cfg.rank_tol), report.bound)
+    else:
+        report = replace(report, extracted_lambda=pc.lambda_star)
     return pc, report

@@ -25,6 +25,10 @@ def test_config_defaults_and_validation():
         SolverConfig(mu=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=1.5)
+    # sigma_2/sigma_1 <= 1, so a rank_tol of 1 or more would certify any X
+    for bad in (1.0, 2.0):
+        with pytest.raises(ValueError, match="below 1"):
+            SolverConfig(rank_tol=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     # a fractional cap would fail inside the loop, and a negative or
@@ -91,6 +95,13 @@ def test_report_internal_consistency(solve):
     assert np.linalg.norm(report.extracted_x) == pytest.approx(1.0, abs=1e-12)
     # iteration counts stay in the expected range at these sizes
     assert 10 <= report.iterations <= 20_000
+
+
+def test_converged_objective_is_the_extracted_value():
+    # at a converged rank-one X the relaxation's value is attained by x
+    report = solve_sdp(random_gaussian(3, 4, 0))
+    assert report.termination == "converged" and report.certified
+    assert report.extracted_lambda == pytest.approx(report.objective, abs=1e-4)
 
 
 def test_sdp_objective_upper_bounds_form_maximum():

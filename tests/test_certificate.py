@@ -2,19 +2,24 @@
 
 `report.bound` is lambda_max(C + S) - <S, X> with S taken from the ADMM's
 last multiplier: an upper bound on the form's maximum at any iterate.  A
-route's value is certified at a converged iterate when X is rank one or the
-value closes the gap to the bound, and the fallback skips its restarts
-once the ascent from the read-out point closes it.
+route's value is certified when X is rank one at a converged iterate, or
+the value closes the gap to the bound at an iterate the cap did not stop,
+and the fallback skips its restarts once the ascent from the read-out
+point closes it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorpca import (SolverConfig, multistart_local, random_gaussian,
-                       random_partial_symmetric, solve_biquadratic,
-                       solve_leading_pc, solve_nnp, solve_sdp, symmetrize)
+from tensorpca import (SolverConfig, eval_homogeneous, multistart_local,
+                       random_gaussian, random_partial_symmetric,
+                       solve_biquadratic, solve_leading_pc, solve_nnp,
+                       solve_sdp, symmetrize)
 from tensorpca import extensions, extraction
+from tensorpca.admm import certifies
 from tensorpca.extraction import RESTARTS
 
 
@@ -82,7 +87,7 @@ def test_tied_instances_certify_by_gap(method):
     rng = np.random.default_rng(123)
     for n, m in ((6, 4), (5, 3)) * 2:
         pc, report = solve_leading_pc(tied(rng, n, m), method)
-        assert report.termination == "converged"
+        assert report.termination == "gap"
         assert not report.certified  # the rank-one certificate fails
         assert pc.certified
         assert pc.lambda_star == pytest.approx(1.0, abs=1e-6)
@@ -124,26 +129,47 @@ def tied_quartic():
     return tied(np.random.default_rng(123), 6, 4)
 
 
-@pytest.mark.parametrize("make, module", [(tied_quartic, extraction),
-                                          (quadrilinear, extensions)])
+def tied_quartic_fallback(cfg):
+    # the pipeline stops the tied quartic on the gap before any fallback, so
+    # the fallback runs here from a solve_sdp report and its bound
+    F = tied_quartic()
+    report = solve_sdp(F, cfg)
+    x = extraction._refine_not_rank_one(F, report.extracted_x, cfg.seed,
+                                        report.bound, cfg.rank_tol)
+    report = replace(report, extracted_lambda=eval_homogeneous(F, x))
+    return certifies(report, cfg.rank_tol), report
+
+
+def quadrilinear_pipeline(cfg):
+    comp, report = solve_leading_pc(quadrilinear(), "sdp", cfg)
+    return comp.certified, report
+
+
+@pytest.mark.parametrize("run, module", [(tied_quartic_fallback, extraction),
+                                         (quadrilinear_pipeline, extensions)],
+                         ids=["tied_quartic-tensorpca.extraction",
+                              "quadrilinear-tensorpca.extensions"])
 def test_fallback_stops_at_the_first_ascent_once_the_gap_closes(
-        monkeypatch, make, module):
+        monkeypatch, run, module):
     calls = count_ascents(monkeypatch, module)
-    comp, report = solve_leading_pc(make(), "sdp")
-    assert comp.certified and len(calls) == 1
+    certified, report = run(SolverConfig())
+    assert certified and len(calls) == 1
     # one iteration leaves the gap open: the read-out start and every restart
     calls.clear()
-    comp, report = solve_leading_pc(make(), "sdp", SolverConfig(max_iter=1))
+    certified, report = run(SolverConfig(max_iter=1))
     assert report.gap > 1e-6 * abs(report.bound)
-    assert not comp.certified and len(calls) == 1 + RESTARTS
+    assert not certified and len(calls) == 1 + RESTARTS
 
 
 @pytest.mark.parametrize("make", [tied_quartic, quadrilinear])
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
 def test_capped_solve_is_never_certified_when_its_gap_closes(make, method):
-    # one iteration short of convergence the bound is already tight
+    # a gap stop's iteration tests the cap first, so capped there the gap
+    # is closed; a converged solve is capped one iteration short, where
+    # the bound is already tight
     _, converged = solve_leading_pc(make(), method)
-    cfg = SolverConfig(max_iter=converged.iterations - 1)
+    cfg = SolverConfig(max_iter=converged.iterations
+                       - (converged.termination == "converged"))
     comp, report = solve_leading_pc(make(), method, cfg)
     assert report.termination == "iter_cap"
     assert report.gap <= 1e-6 * abs(report.bound)

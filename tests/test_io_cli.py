@@ -207,9 +207,10 @@ def test_cli_solve_certified_instance(tmp_path, capsys):
     assert code == 0
     assert payload["certified"] is True
     assert payload["method"] == "sdp"
-    assert payload["termination"] == "converged"
+    assert payload["termination"] == "gap"
     assert len(payload["x"]) == 3
-    assert payload["lambda"] == pytest.approx(payload["objective"], abs=1e-4)
+    bound = payload["bound"]
+    assert bound * (1 - 1e-6) <= payload["lambda"] <= bound * (1 + 1e-12)
 
     code = main(["solve", path, "--method", "nnp", "--json"])
     nnp = json.loads(capsys.readouterr().out)
@@ -228,6 +229,31 @@ def test_cli_solve_prints_bound_and_gap(tmp_path, capsys, extra, expected):
     assert payload["certified"] is (expected == 0)
     assert math.isfinite(payload["bound"]) and math.isfinite(payload["gap"])
     assert payload["gap"] >= -1e-12 * abs(payload["bound"])
+
+
+@pytest.mark.parametrize("gen, method, expected", [
+    (["--n", "3"], "sdp", 0),                                  # order 4
+    (["--n", "4", "--order", "3"], "sdp", 0),                  # squared
+    (["--kind", "general", "--n", "4", "--order", "3"], "sdp", 0),
+    (["--kind", "general", "--n", "3"], "sdp", 0),             # stacked
+    (["--kind", "general", "--n", "3", "--order", "2"], "sdp", 0),
+    (["--kind", "general", "--n", "1", "--order", "6"], "nnp", 2),
+    (["--kind", "partial_symmetric", "--n", "3", "--m", "4"], "sdp", 0)],
+    ids=["symmetric", "odd", "trilinear", "quadrilinear", "embedded-2",
+         "embedded-6", "biquadratic"])
+def test_cli_bound_is_on_the_scale_of_lambda(tmp_path, capsys, gen, method,
+                                             expected):
+    # every reduction maps the solve's bound back onto the printed lambda:
+    # the bound is above it, and a certified value closes the gap
+    path = str(tmp_path / "t.tensor")
+    main(["gen", path, *gen, "--seed", "0"])
+    assert main(["solve", path, "--method", method, "--json"]) == expected
+    payload = json.loads(capsys.readouterr().out)
+    bound, value = payload["bound"], payload["lambda"]
+    assert payload["gap"] == bound - value
+    assert bound >= value - 1e-12 * abs(bound)
+    if payload["certified"]:
+        assert payload["gap"] <= 1e-6 * abs(bound)
 
 
 def test_cli_solve_biquadratic_file(tmp_path, capsys):
@@ -320,12 +346,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     main(["gen", general, "--kind", "general", "--n", "2", "--seed", "0"])
     assert main(["oracle", general]) == 1
     assert "super_symmetric" in capsys.readouterr().err
-    # a nan tolerance would run every iteration, a negative seed would fail
-    # only in a fallback, and a restart count below one would be read as one
+    # a nan tolerance would run every iteration, a rank tolerance of 2 would
+    # certify any X, a negative seed would fail only in a fallback, and a
+    # restart count below one would be read as one
     symmetric = str(tmp_path / "s.tensor")
     main(["gen", symmetric, "--n", "3", "--seed", "0"])
     capsys.readouterr()
     for args in (["solve", symmetric, "--tol", "nan"],
+                 ["solve", symmetric, "--rank-tol", "2"],
                  ["solve", symmetric, "--seed", "-1"],
                  ["oracle", symmetric, "--mode", "multistart", "--restarts", "-3"]):
         assert main(args) == 1

@@ -6,14 +6,14 @@ tracer to find it there.  Each such import must be a (module, attribute)
 row of the tracer's `PATCHES`; an import the tracer no longer patches is
 dead and fails here.  `PATCHES` is read with `ast`, without importing the
 benchmark.  So are the indices of `run_admm`'s result that the tracer's
-`_admm_result` reads, which must stay the iteration count and the
-convergence flag.
+`_admm_result` reads, which must stay the iteration count and the flag
+that the loop stopped before its cap (converged, or stopped on the gap).
 """
 
 import ast
 import pathlib
 
-from tensorpca import SolverConfig, random_gaussian, solve_sdp
+from tensorpca import SolverConfig, admm, random_gaussian, solve_sdp
 from tensorpca.admm import _symmetric_relaxation, run_admm
 from tensorpca.projection import project_psd
 
@@ -77,7 +77,7 @@ def admm_result_indices():
             for key, value in zip(returned.keys, returned.values)}
 
 
-def test_run_admm_result_keeps_the_tracer_indices():
+def test_run_admm_result_keeps_the_tracer_indices(monkeypatch):
     assert admm_result_indices() == {"iterations": 2, "converged": 5}
     F = random_gaussian(3, 4, 0)
     problem = _symmetric_relaxation(F)
@@ -90,3 +90,16 @@ def test_run_admm_result_keeps_the_tracer_indices():
     assert capped[2] == 3 and capped[5] is False
     converged = run(SolverConfig())
     assert converged[2] == solve_sdp(F).iterations and converged[5] is True
+    # a gap stop, read where the tracer reads it: stopped before the cap
+    results = []
+
+    def traced(*args, **kwargs):
+        results.append(run_admm(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(admm, "run_admm", traced)
+    report = solve_sdp(F, stop_on_gap=True)
+    (stopped,) = results
+    assert report.termination == "gap"
+    assert stopped[2] == report.iterations < converged[2]
+    assert stopped[5] is True
