@@ -95,7 +95,8 @@ class SolveReport:
     termination: "converged" when relative change plus primal residual
     reached cfg.tol, "gap" when the ADMM stopped earlier because the value
     read out of X closed the gap to the bound at X (only when the caller
-    asked for it, as `extraction.solve_even_order` does), and "iter_cap"
+    asked for it, as `extraction.solve_even_order` and the bi-quadratic
+    routes of `extensions` do), and "iter_cap"
     when cfg.max_iter ran out first.  certified: the rank-one certificate,
     the solve converged and rank_one_ratio <= cfg.rank_tol.  bound:
     lambda_max(C + S) - <S, X>, an upper bound on the relaxation and so on

@@ -11,9 +11,9 @@ one, or its value closes the gap to the dual bound (`admm.certifies`); the
 component then comes from the read-out or the local-ascent fallback.  An
 iteration cap certifies nothing.  `solve` prints the dual bound and the
 gap, bound - lambda, on the scale of the printed lambda on every route (the
-component's bound); `termination` is "converged", "gap" (the symmetric
-routes' ADMM stopped once its read-out value closed the gap to the bound)
-or "iter_cap".
+component's bound); `termination` is "converged", "gap" (the ADMM stopped
+once its read-out value closed the gap to the bound, which `solve` asks
+for on every route) or "iter_cap".
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import csv
+import functools
 import logging
 import math
 import numbers
@@ -205,7 +206,8 @@ def _cmd_solve(args) -> int:
     cfg = _cfg_from_args(args)
     loaded = read_tensor(args.input)
     if loaded.kind == "partial_symmetric":
-        component, report = solve_biquadratic(loaded.data, args.method, cfg)
+        component, report = solve_biquadratic(loaded.data, args.method, cfg,
+                                              stop_on_gap=True)
         vectors = {"x": component.x_star, "y": component.y_star}
     else:
         component, report = solve_leading_pc(loaded.data, args.method, cfg)
@@ -317,7 +319,10 @@ def _add_cfg_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed for fallback restarts")
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh namespace on every call
     parser = argparse.ArgumentParser(
         prog="tensorpca",
         description="Leading principal components of symmetric tensors "
@@ -368,8 +373,11 @@ def main(argv=None) -> int:
     _add_cfg_flags(p)
     p.add_argument("--output", "-o", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_experiment)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TensorFileError, ValueError, TypeError, OSError) as exc:

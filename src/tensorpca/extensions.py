@@ -20,7 +20,8 @@ from .admm import Relaxation, SolverConfig, certifies, solve
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import (MultilinearComponent, PrincipalComponent,
                          _ascend_with_restarts, solve_even_order)
-from .matricize import _leading_factors, matr_partial, partial_symmetrize
+from .matricize import (_leading_factors, _rank_one_eig, matr_partial,
+                        partial_symmetrize)
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_partial_C
 from .projection import project_psd  # noqa: F401  lookup site in benchmarks/tracer.py
@@ -91,8 +92,23 @@ def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     return _ascend_with_restarts(ascend, (x0, y0), seed, bound, rank_tol)
 
 
+def _parity_read_out(X: np.ndarray, odd_rows: np.ndarray) -> np.ndarray:
+    # z = sqrt(l_even) u_even + sqrt(l_odd) u_odd from the leading eigenpair
+    # of each diagonal block of X; a flip-invariant X is zz^T averaged with
+    # its flip, so each block is rank one and holds one half of z.  An empty
+    # block contributes nothing
+    z = np.zeros(X.shape[0])
+    for rows in (~odd_rows, odd_rows):
+        if not rows.any():
+            continue
+        w, V = np.linalg.eigh(X[np.ix_(rows, rows)])
+        z[rows] = math.sqrt(max(float(w[-1]), 0.0)) * V[:, -1]
+    return z
+
+
 def solve_biquadratic(G: np.ndarray, method: str = "sdp",
-                      cfg: SolverConfig = None):
+                      cfg: SolverConfig = None, *, stop_on_gap: bool = False,
+                      odd_rows: np.ndarray = None):
     """Maximize G(x, y, x, y) over unit x, y via a convex relaxation.
 
     The relaxation maximizes tr(matr_partial(G) X) over trace-one matrices
@@ -104,6 +120,17 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     certificate fall back to alternating eigenvector ascent, and the
     component is certified when its value closes the gap to the solve's
     bound (`admm.certifies`).
+
+    With stop_on_gap the ADMM also stops once the form at the read-out
+    (x, y) closes the gap to the dual bound (termination "gap"), and the
+    ascent from that read-out polishes it; the pipeline routes set it.
+    odd_rows is a boolean mask over the n*m rows (row i*m + j) that a sign
+    flip D of x and y fixing the form negates (ValueError for another
+    shape or dtype).  Every iterate is then
+    D-invariant, so X averages zz^T with its flip and is never rank one;
+    the read-out takes instead z = sqrt(l_even) u_even + sqrt(l_odd) u_odd
+    from the leading eigenpair of X's even and odd diagonal blocks, at the
+    gap checks and at the end.  Either sign of u_odd gives an optimum.
 
     Returns
     -------
@@ -119,13 +146,30 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
 
     # feasible rank-one start at the best coordinate pair: Gm[p, p] is
     # G[i, j, i, j] at p = i*m + j
+    if odd_rows is not None:
+        odd_rows = np.asarray(odd_rows)
+        if odd_rows.dtype != bool or odd_rows.shape != (n * m,):
+            raise ValueError(f"odd_rows must be a boolean mask of length {n * m}")
     p = int(np.argmax(np.diag(Gm)))
     Y0 = np.zeros_like(Gm)
     Y0[p, p] = 1.0
 
+    def read_out(X, v=None):
+        # (x, y) from v, X's leading eigenvector, or from X's parity blocks
+        if odd_rows is not None:
+            v = _parity_read_out(X, odd_rows)
+        elif v is None:
+            v = _rank_one_eig(X)[3]
+        return _leading_factors(v, n)
+
+    value = None
+    if stop_on_gap:
+        def value(X):
+            return biquadratic_form(G, *read_out(X))
+
     report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
-                   method, cfg)
-    x, y = _leading_factors(report.extracted_x, n)
+                   method, cfg, value)
+    x, y = read_out(report.values, report.extracted_x)
     if not report.certified:
         x, y = _mbi_biquadratic(G, x, y, cfg.seed, report.bound, cfg.rank_tol)
     # the form is even in x and in y: every sign is a tie
@@ -214,9 +258,13 @@ def _split_blocks(y: np.ndarray, dims) -> list:
 
 def solve_trilinear(F: np.ndarray, method: str = "sdp",
                     cfg: SolverConfig = None):
-    """Maximize F(x, y, z) over unit vectors via the bi-quadratic reduction."""
+    """Maximize F(x, y, z) over unit vectors via the bi-quadratic reduction.
+
+    The bi-quadratic solve stops on the duality gap (`stop_on_gap`).
+    """
     F = np.asarray(F, dtype=float)
-    comp, report = solve_biquadratic(trilinear_to_biquadratic(F), method, cfg)
+    comp, report = solve_biquadratic(trilinear_to_biquadratic(F), method, cfg,
+                                     stop_on_gap=True)
     x, y = comp.x_star, comp.y_star
     z = np.tensordot(F, np.outer(x, y), axes=([0, 1], [0, 1]))
     blocks, value = _fix_last_sign(F, [x, y, _unit(z)])
@@ -227,11 +275,19 @@ def solve_trilinear(F: np.ndarray, method: str = "sdp",
 
 def solve_quadrilinear(F: np.ndarray, method: str = "sdp",
                        cfg: SolverConfig = None):
-    """Maximize F(x1, x2, x3, x4) over unit vectors via stacking."""
+    """Maximize F(x1, x2, x3, x4) over unit vectors via stacking.
+
+    x = (x1; x3) and y = (x2; x4).  Negating x3 and x4 fixes F, so the
+    bi-quadratic solve reads its iterate by the blocks of that flip: the
+    rows i*(n2 + n4) + j with exactly one of i >= n1, j >= n2 are odd.  It
+    stops on the duality gap (`stop_on_gap`); X itself is never rank one.
+    """
     F = np.asarray(F, dtype=float)
     n1, n2, n3, n4 = F.shape
+    i, j = np.divmod(np.arange((n1 + n3) * (n2 + n4)), n2 + n4)
     comp, report = solve_biquadratic(quadrilinear_to_biquadratic(F), method,
-                                     cfg)
+                                     cfg, stop_on_gap=True,
+                                     odd_rows=(i >= n1) != (j >= n2))
     x1, x3 = _split_blocks(comp.x_star, (n1, n3))
     x2, x4 = _split_blocks(comp.y_star, (n2, n4))
     blocks, value = _fix_last_sign(F, [x1, x2, x3, x4])

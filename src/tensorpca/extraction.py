@@ -275,7 +275,8 @@ def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
     solve whose value no certificate covers falls back to block ascent from
     the extracted x plus random restarts, and the component is certified
     when that value closes the gap to the solve's bound (`admm.certifies`).
-    The report then carries the returned value as extracted_lambda.
+    The returned report carries the returned x and F(x) as extracted_x and
+    extracted_lambda, so F(extracted_x) == extracted_lambda.
     """
     # the solvers are looked up on admm, where benchmarks/tracer.py times them
     solver = {"nnp": admm.solve_nnp, "sdp": admm.solve_sdp}.get(method)
@@ -289,6 +290,5 @@ def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
         report = replace(report, extracted_lambda=eval_homogeneous(F, x))
         pc = PrincipalComponent(report.extracted_lambda, x,
                                 certifies(report, cfg.rank_tol), report.bound)
-    else:
-        report = replace(report, extracted_lambda=pc.lambda_star)
-    return pc, report
+    return pc, replace(report, extracted_lambda=pc.lambda_star,
+                       extracted_x=pc.x_star)

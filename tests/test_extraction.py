@@ -8,7 +8,7 @@ from tensorpca import (PrincipalComponent, NotRankOne, extract, mbi_refine,
                        deflate, solve_leading_pc, SolverConfig,
                        SuperSymmetricTensor, rank_one, random_gaussian,
                        eval_homogeneous, matr, inner, multistart_local, main,
-                       symmetrize, write_tensor)
+                       solve_sdp, symmetrize, write_tensor)
 from tensorpca.extraction import _refine_not_rank_one, solve_even_order
 
 
@@ -153,7 +153,9 @@ def test_iter_cap_is_never_certified(tmp_path):
     assert report.termination == "iter_cap"
     assert not report.certified
     assert not pc.certified
-    x = _refine_not_rank_one(F, report.extracted_x, seed=cfg.seed)
+    # the pipeline report carries the returned x; the fallback started from
+    # the read-out, which a direct solve capped at the same iteration keeps
+    x = _refine_not_rank_one(F, solve_sdp(F, cfg).extracted_x, seed=cfg.seed)
     assert pc.lambda_star == eval_homogeneous(F, x)
     # the fallback reaches the certified optimum, flagged uncertified
     converged, _ = solve_leading_pc(F, "sdp")

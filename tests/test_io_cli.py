@@ -299,6 +299,22 @@ def test_method_is_honoured_on_every_route(route, tmp_path, monkeypatch,
             assert json.loads(capsys.readouterr().out)["method"] == method
 
 
+def test_cli_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # the parser is built once per process: a second call on the same file
+    # takes every default afresh, whatever the first call set
+    path = str(tmp_path / "t.tensor")
+    write_tensor(path, random_gaussian(3, 4, 0))
+    assert cli._parser() is cli._parser()
+    assert main(["solve", path, "--method", "nnp", "--max-iter", "1",
+                 "--json"]) == 2
+    first = json.loads(capsys.readouterr().out)
+    assert first["method"] == "nnp" and first["iterations"] == 1
+    assert main(["solve", path, "--json"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["method"] == "sdp" and second["certified"] is True
+    assert second["iterations"] > 1
+
+
 def test_cli_solver_defaults_are_solver_config(tmp_path, monkeypatch, capsys):
     # with no solver flags, solve and experiment hand over SolverConfig()
     seen = []
