@@ -23,6 +23,7 @@ from .admm import (SolveReport, SolverConfig, _recover_symmetric, _summarize,
                    certifies, closes_gap)
 from .matricize import is_super_symmetric, matr, matr_inv
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
+from .projection import _moment_tables
 from .tensors import (SuperSymmetricTensor, _as_dense, _fix_sign, _unit,
                       eval_homogeneous, eval_multilinear, identity_power,
                       rank_one)
@@ -111,12 +112,24 @@ def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.ra
                 f"X is infeasible: symmetry violated by {violation:.3e}")
         report = _recover_symmetric(F, _summarize(X, matr(F), rank_tol))
     if not certifies(report, rank_tol):
-        return NotRankOne(report.rank_one_ratio, np.linalg.eigvalsh(report.X))
+        return NotRankOne(report.rank_one_ratio, _spectrum(report))
     if report.certified:
         return PrincipalComponent(report.extracted_lambda, report.extracted_x,
                                   True, report.bound)
     x = newton_refine(F, report.extracted_x)
     return PrincipalComponent(eval_homogeneous(F, x), x, True, report.bound)
+
+
+def _spectrum(report: SolveReport) -> np.ndarray:
+    # X's eigenvalues, ascending.  In moment coordinates X = B M B^T with B
+    # an isometry from R^K, so X has M's K eigenvalues and N - K zeros
+    if report.moment is None:
+        return np.linalg.eigvalsh(report.X)
+    n, d = report.moment
+    _, _, _, pair, w = _moment_tables(n, d)
+    zeros = np.zeros(n ** d - len(w))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(report.values[pair] * w),
+                                   zeros]))
 
 
 # quadratic convergence takes a gap stop's read-out, about 1e-7 below the
@@ -168,11 +181,27 @@ def newton_refine(F: SuperSymmetricTensor, x: np.ndarray) -> np.ndarray:
     return _fix_sign(F, x)
 
 
-def _block_gradient(t: np.ndarray, xs: Sequence[np.ndarray], j: int) -> np.ndarray:
-    out = np.moveaxis(t, j, 0)
-    others = [xs[k] for k in range(len(xs)) if k != j]
-    for x in reversed(others):
-        out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
+def _unfoldings(t, dense: np.ndarray) -> list:
+    # mode j moved to the front of `dense`, contiguous, for each mode j.
+    # Every unfolding of a symmetric tensor is its dense array, so none is
+    # copied; a general array is copied once per mode, bar a contiguous
+    # array's mode 0
+    if isinstance(t, SuperSymmetricTensor):
+        return [dense] * dense.ndim
+    return [np.ascontiguousarray(np.moveaxis(dense, j, 0))
+            for j in range(dense.ndim)]
+
+
+def _block_gradient(unfolded: np.ndarray, xs: Sequence[np.ndarray],
+                    j: int) -> np.ndarray:
+    # the form with every block but j contracted on mode j's unfolding, the
+    # last block first: each step is the reshape and np.dot that
+    # np.tensordot runs, on an operand that is already contiguous
+    n = unfolded.shape[0]
+    out = unfolded
+    for k in reversed(range(len(xs))):
+        if k != j:
+            out = np.dot(out.reshape(-1, n), xs[k])
     return out
 
 
@@ -185,22 +214,26 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
     objective.  Sweeps stop when the relative improvement drops below `tol`
     or the sweep cap is hit (the best iterate is returned flagged either
     way).  The returned x is the block direction whose homogeneous value is
-    largest, sign fixed toward the larger value.
+    largest, sign fixed toward the larger value.  The gradients contract
+    the m mode unfoldings of `t`, built once: a SuperSymmetricTensor's
+    dense array serves every mode, a general array is copied once per mode
+    and never written.
     """
-    t = _as_dense(t)
-    m = t.ndim
-    if len(set(t.shape)) != 1:
+    dense = _as_dense(t)
+    m = dense.ndim
+    if len(set(dense.shape)) != 1:
         raise ValueError("block refinement needs a cubical tensor")
     if len(x0s) != m:
         raise ValueError(f"need {m} start blocks, got {len(x0s)}")
+    unfolded = _unfoldings(t, dense)
     xs = [_unit(x) for x in x0s]
-    value = eval_multilinear(t, xs)
+    value = eval_multilinear(dense, xs)
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         previous = value
         for j in range(m):
-            g = _block_gradient(t, xs, j)
+            g = _block_gradient(unfolded[j], xs, j)
             norm_g = float(np.linalg.norm(g))
             if norm_g == 0.0:
                 continue
@@ -210,11 +243,13 @@ def mbi_refine(t, x0s: Sequence[np.ndarray], tol: float = 1e-10,
             converged = True
             break
 
-    def homogeneous(x):
-        return eval_multilinear(t, [x] * m)
-
-    best = _fix_sign(t, max(xs, key=lambda x: max(homogeneous(x), homogeneous(-x))))
-    return MbiResult(best, homogeneous(best), sweeps, converged)
+    # negation is exact: f(-x) = f(x) at even order and -f(x) at odd order,
+    # so the better sign's value is f(x) or |f(x)|, one evaluation per block
+    values = [eval_multilinear(dense, [x] * m) for x in xs]
+    if m % 2:
+        values = [abs(v) for v in values]
+    best = max(range(m), key=values.__getitem__)
+    return MbiResult(_fix_sign(dense, xs[best]), values[best], sweeps, converged)
 
 
 RESTARTS = 5
@@ -249,7 +284,7 @@ def _refine_not_rank_one(F: SuperSymmetricTensor, x0: np.ndarray, seed: int,
     unless the ascent from x0 already closes the gap to `bound`.
     """
     n, m = F.n, F.m
-    target = (F + (F.norm() / 4.0) * identity_power(n, m // 2)).to_dense()
+    target = F + (F.norm() / 4.0) * identity_power(n, m // 2)
 
     def ascend(x):
         x = mbi_refine(target, [x] * m).x

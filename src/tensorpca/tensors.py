@@ -183,7 +183,7 @@ class SuperSymmetricTensor:
         keys = set(self._values) | set(other._values)
         vals = {k: self._values.get(k, 0.0) + sign * other._values.get(k, 0.0)
                 for k in keys}
-        return SuperSymmetricTensor(self.n, self.m, vals)
+        return _with_classes(self, vals)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -193,14 +193,26 @@ class SuperSymmetricTensor:
 
     def __mul__(self, scalar):
         scalar = float(scalar)
-        return SuperSymmetricTensor(
-            self.n, self.m, {k: scalar * v for k, v in self._values.items()})
+        return _with_classes(
+            self, {k: scalar * v for k, v in self._values.items()})
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return (f"SuperSymmetricTensor(n={self.n}, m={self.m}, "
                 f"classes={len(self._values)})")
+
+
+def _with_classes(f: SuperSymmetricTensor, values: dict) -> SuperSymmetricTensor:
+    # a tensor of f's shape holding `values`, keyed by f's canonical class
+    # keys or another tensor's of that shape: the constructor's checks but
+    # the key canonicalization, which would only sort each key again
+    for key, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"entry {key} is not finite: {v}")
+    out = SuperSymmetricTensor(f.n, f.m)
+    out._values = values
+    return out
 
 
 def symmetrize(t: np.ndarray) -> SuperSymmetricTensor:

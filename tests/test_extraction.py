@@ -42,6 +42,18 @@ def test_extract_flags_higher_rank():
     assert result.spectrum.shape == (4,)
 
 
+@pytest.mark.parametrize("n, m", [(4, 4), (3, 6)])
+def test_not_rank_one_spectrum_is_the_lifted_spectrum(n, m):
+    # a capped solve's report misses the certificate; its spectrum comes
+    # from the K x K moment matrix plus N - K zeros, N = n**(m/2)
+    F = random_gaussian(n, m, 2)
+    report = solve_sdp(F, SolverConfig(max_iter=3))
+    result = extract(F, report)
+    assert isinstance(result, NotRankOne)
+    assert result.spectrum.shape == (n ** (m // 2),)
+    assert np.abs(result.spectrum - np.linalg.eigvalsh(report.X)).max() <= 1e-12
+
+
 def test_extract_rejects_infeasible_matrices():
     F = random_gaussian(2, 4, 2)
     a = unit(np.array([1.0, 2.0]))

@@ -73,6 +73,12 @@ def test_no_package_import_inside_a_function(module):
 
 
 def test_oracle_imports_only_tensors():
-    imported = {target for node in ast.walk(parse("oracle"))
+    # by name too, so no contraction helper the solvers use reaches it
+    tree = parse("oracle")
+    imported = {target for node in ast.walk(tree)
                 for target in package_imports(node)}
     assert imported == {"tensors"}, imported
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if package_imports(node)}
+    assert names == {"SuperSymmetricTensor", "_canonical_sign", "_unit"}, names

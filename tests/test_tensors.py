@@ -95,6 +95,14 @@ def test_arithmetic_matches_dense():
     np.testing.assert_allclose((F - G).to_dense(), F.to_dense() - G.to_dense())
     np.testing.assert_allclose((2.5 * F).to_dense(), 2.5 * F.to_dense())
     np.testing.assert_allclose((F * 2.5).to_dense(), 2.5 * F.to_dense())
+    # each entry adds the same two floats, so the sum is the dense sum bitwise
+    assert np.array_equal((F + 0.25 * G).to_dense(),
+                          F.to_dense() + 0.25 * G.to_dense())
+    big = SuperSymmetricTensor(1, 2, {(0, 0): 1e308})
+    with pytest.raises(ValueError, match="not finite"):
+        big + big
+    with pytest.raises(ValueError, match="not finite"):
+        10.0 * big
 
 
 def test_norm_matches_dense_frobenius():
