@@ -36,11 +36,11 @@ import numpy as np
 
 from .matricize import _leading_factors, _rank_one_eig, matr
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
-from .projection import (_moment_tables, lift_moment, moment_class_values,
-                         project_moment_C)
+from .projection import (_moment_tables, lift_blocks, lift_moment,
+                         moment_class_values, project_moment_C)
 from .projection import project_C  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_psd, shrink_nuclear
-from .tensors import (SuperSymmetricTensor, _class_table, _fix_sign,
+from .tensors import (SuperSymmetricTensor, _class_table, _fix_sign, _unit,
                       eval_homogeneous)
 
 __all__ = [
@@ -98,7 +98,11 @@ class SolveReport:
     asked for it, as `extraction.solve_even_order` and the bi-quadratic
     routes of `extensions` do), and "iter_cap"
     when cfg.max_iter ran out first.  certified: the rank-one certificate,
-    the solve converged and rank_one_ratio <= cfg.rank_tol.  bound:
+    the solve converged and rank_one_ratio <= cfg.rank_tol.  On a relaxation
+    solved in diagonal blocks (`Relaxation.blocks`) rank_one_ratio is the
+    largest ratio of a block, so certified means every block is rank one,
+    and extracted_x is the unit read-out z = sum_b sqrt(l_b) u_b of the
+    blocks' top eigenpairs instead of the leading eigenvector.  bound:
     lambda_max(C + S) - <S, X>, an upper bound on the relaxation and so on
     the form's maximum, valid at any iterate (nan for a bare matrix, which
     has no multiplier).  extracted_lambda is the value the route returns
@@ -111,7 +115,8 @@ class SolveReport:
     2d-class, so when `moment` holds its (n, d) the report keeps those S =
     C(n+2d-1, 2d) `values` and `X` lifts them to n**d x n**d when read.
     When `moment` is None (the bi-quadratic relaxation) `values` is X
-    itself.
+    itself, the N x N matrix, cross-block zeros included, when the solve
+    ran in blocks.
     """
     objective: float
     nuclear_norm: float
@@ -147,12 +152,18 @@ class Relaxation:
 
     Maximize tr(CX) over trace-one X in the affine set `project` maps onto;
     `start` is a feasible rank-one matrix, the ADMM's first Y.  `moment`
-    is (n, d) when the matrices are in moment coordinates.
+    is (n, d) when the matrices are in moment coordinates.  `blocks`,
+    when not None, lists the rows of each diagonal block of a
+    block-diagonal N x N problem (a partition of the rows, as
+    `projection.stack_blocks` takes it): C, start, `project` and every
+    iterate are then the stack of those blocks, zero-padded to the largest,
+    and `project` keeps the padding zero.  None is one N x N block.
     """
     C: np.ndarray
     project: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
     moment: Optional[Tuple[int, int]] = None
+    blocks: Optional[Tuple[np.ndarray, ...]] = None
 
 
 def neg_eig_mass(X: np.ndarray) -> float:
@@ -259,20 +270,53 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
         Q = plain - (gamma @ dF[:pairs]).reshape(Q.shape)
 
 
+def _block_eig(X: np.ndarray, blocks) -> Tuple[np.ndarray, float, np.ndarray]:
+    # _rank_one_eig of a block stack, one eigendecomposition per block:
+    # every eigenvalue, the largest block ratio (a zero block is rank one)
+    # and the read-out.  An X that averages zz^T over the sign flips fixing
+    # the blocks has the rank-one block (P_b z)(P_b z)^T for each block's
+    # part P_b z of z, so z = sum_b sqrt(l_b) u_b from each block's top
+    # eigenpair (l_b, u_b), at its rows; returned as a unit vector
+    z = np.zeros(sum(len(rows) for rows in blocks))
+    spectra, ratio = [], 0.0
+    for b, rows in enumerate(blocks):
+        k = len(rows)
+        w, V = np.linalg.eigh(X[b, :k, :k])
+        mags = np.sort(np.abs(w))
+        if mags[-1] > 0.0 and k > 1:
+            ratio = max(ratio, float(mags[-2] / mags[-1]))
+        z[rows] = math.sqrt(max(float(w[-1]), 0.0)) * V[:, -1]
+        spectra.append(w)
+    w = np.concatenate(spectra)
+    if not w.any():
+        raise ValueError("zero matrix has no rank-one ratio")
+    return w, ratio, _unit(z)
+
+
 def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
               iterations: int = 0, rel: float = 0.0, primal: float = 0.0,
               termination: str = "converged",
               moment: Optional[Tuple[int, int]] = None,
-              bound: float = math.nan) -> SolveReport:
-    # report on X from one eigendecomposition; a bare X counts as converged.
-    # Until the caller recovers its factors, extracted_x is the leading
-    # eigenvector (lifted to length n**d from moment coordinates, which
-    # keep the nonzero spectrum) and extracted_lambda the objective.
-    w, ratio, _, v = _rank_one_eig(X)
+              bound: float = math.nan,
+              blocks: Optional[Tuple[np.ndarray, ...]] = None) -> SolveReport:
+    # report on X from one eigendecomposition (one per block of a stack); a
+    # bare X counts as converged.  Until the caller recovers its factors,
+    # extracted_x is the leading eigenvector (lifted to length n**d from
+    # moment coordinates, which keep the nonzero spectrum), or a stack's
+    # `_block_eig` read-out, and extracted_lambda the objective.
+    if blocks is None:
+        w, ratio, _, v = _rank_one_eig(X)
+    else:
+        w, ratio, v = _block_eig(X, blocks)
     if moment is not None:
         v = lift_moment(v, *moment)
     objective = float(np.sum(C * X))
-    values = X if moment is None else moment_class_values(X, *moment)
+    if moment is not None:
+        values = moment_class_values(X, *moment)
+    elif blocks is not None:
+        values = lift_blocks(X, blocks)
+    else:
+        values = X
     return SolveReport(
         objective=objective, nuclear_norm=float(np.sum(np.abs(w))),
         iterations=iterations, primal_residual=primal, rel_change=rel,
@@ -306,10 +350,17 @@ def _dual_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray,
                 zero: np.ndarray) -> float:
     # S = Z minus its projection onto L: project(Z) - zero, with zero =
     # project(0), is the affine projection's linear part, which is that
-    # projection
+    # projection.  A block-diagonal C + S has the largest eigenvalue of
+    # its blocks
     S = Z - (problem.project(Z) - zero)
-    S = 0.5 * (S + S.T)
-    return float(np.linalg.eigvalsh(problem.C + S)[-1] - np.sum(S * X))
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    M = problem.C + S
+    if problem.blocks is None:
+        top = np.linalg.eigvalsh(M)[-1]
+    else:
+        top = max(np.linalg.eigvalsh(M[b, :len(rows), :len(rows)])[-1]
+                  for b, rows in enumerate(problem.blocks))
+    return float(top - np.sum(S * X))
 
 
 def solve(problem: Relaxation, method: str, cfg: SolverConfig,
@@ -354,7 +405,7 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     termination = ("converged" if rel + primal <= cfg.tol
                    else "gap" if stopped else "iter_cap")
     return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, termination,
-                      problem.moment, bound)
+                      problem.moment, bound, problem.blocks)
 
 
 def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:

@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import Relaxation, SolverConfig, certifies, solve
+from .admm import Relaxation, SolverConfig, _block_eig, certifies, solve
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import (MultilinearComponent, PrincipalComponent,
                          _ascend_with_restarts, solve_even_order)
 from .matricize import (_leading_factors, _rank_one_eig, matr_partial,
                         partial_symmetrize)
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
-from .projection import project_partial_C
+from .projection import partial_block_gathers, project_partial_C, stack_blocks
 from .projection import project_psd  # noqa: F401  lookup site in benchmarks/tracer.py
 from .tensors import (SuperSymmetricTensor, _canonical_sign, _finite_array,
                       _fix_last_sign, _fix_sign, _unit, eval_homogeneous,
@@ -92,20 +92,6 @@ def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     return _ascend_with_restarts(ascend, (x0, y0), seed, bound, rank_tol)
 
 
-def _parity_read_out(X: np.ndarray, odd_rows: np.ndarray) -> np.ndarray:
-    # z = sqrt(l_even) u_even + sqrt(l_odd) u_odd from the leading eigenpair
-    # of each diagonal block of X; a flip-invariant X is zz^T averaged with
-    # its flip, so each block is rank one and holds one half of z.  An empty
-    # block contributes nothing
-    z = np.zeros(X.shape[0])
-    for rows in (~odd_rows, odd_rows):
-        if not rows.any():
-            continue
-        w, V = np.linalg.eigh(X[np.ix_(rows, rows)])
-        z[rows] = math.sqrt(max(float(w[-1]), 0.0)) * V[:, -1]
-    return z
-
-
 def solve_biquadratic(G: np.ndarray, method: str = "sdp",
                       cfg: SolverConfig = None, *, stop_on_gap: bool = False,
                       odd_rows: np.ndarray = None):
@@ -126,17 +112,23 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     ascent from that read-out polishes it; the pipeline routes set it.
     odd_rows is a boolean mask over the n*m rows (row i*m + j) that a sign
     flip D of x and y fixing the form negates (ValueError for another
-    shape or dtype).  Every iterate is then
-    D-invariant, so X averages zz^T with its flip and is never rank one;
-    the read-out takes instead z = sqrt(l_even) u_even + sqrt(l_odd) u_odd
-    from the leading eigenpair of X's even and odd diagonal blocks, at the
-    gap checks and at the end.  Either sign of u_odd gives an optimum.
+    shape or dtype, or when the form is not fixed by such a flip).  Every
+    iterate is then D-invariant: X averages zz^T with its flip, is
+    block-diagonal over the even and the odd rows, and is never rank one
+    as a whole.  The ADMM then runs on the stack of the two diagonal
+    blocks (`Relaxation.blocks`), with one batched eigendecomposition per
+    iteration; each block of a solution is rank one, which the report
+    certifies block by block, and the read-out takes z = sqrt(l_even)
+    u_even + sqrt(l_odd) u_odd from the top eigenpair of each block, at the
+    gap checks and at the end.  Either sign of u_odd gives an optimum.  A
+    mask with one sign declares no flip and solves as without it.
 
     Returns
     -------
     (component, report)
         BiquadraticComponent and the solver report; the report's
-        extracted_x is the leading eigenvector of X (length n*m) and its
+        extracted_x is the leading eigenvector of X (length n*m), or the
+        blocks' read-out z, its X the N x N matrix, and its
         extracted_lambda the component's value.
     """
     cfg = cfg or SolverConfig()
@@ -144,32 +136,40 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     Gm = matr_partial(G)
     n, m = G.shape[0], G.shape[1]
 
-    # feasible rank-one start at the best coordinate pair: Gm[p, p] is
-    # G[i, j, i, j] at p = i*m + j
+    blocks = None
     if odd_rows is not None:
         odd_rows = np.asarray(odd_rows)
         if odd_rows.dtype != bool or odd_rows.shape != (n * m,):
             raise ValueError(f"odd_rows must be a boolean mask of length {n * m}")
+        even, odd = np.flatnonzero(~odd_rows), np.flatnonzero(odd_rows)
+        if Gm[np.ix_(even, odd)].any():
+            raise ValueError("odd_rows: the form is not fixed by the flip")
+        if even.size and odd.size:
+            blocks = (even, odd)
+    # feasible rank-one start at the best coordinate pair: Gm[p, p] is
+    # G[i, j, i, j] at p = i*m + j
     p = int(np.argmax(np.diag(Gm)))
     Y0 = np.zeros_like(Gm)
     Y0[p, p] = 1.0
-
-    def read_out(X, v=None):
-        # (x, y) from v, X's leading eigenvector, or from X's parity blocks
-        if odd_rows is not None:
-            v = _parity_read_out(X, odd_rows)
-        elif v is None:
-            v = _rank_one_eig(X)[3]
-        return _leading_factors(v, n)
+    if blocks is None:
+        problem = Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0)
+    else:
+        gathers = partial_block_gathers(n, m, blocks)
+        problem = Relaxation(
+            stack_blocks(Gm, blocks),
+            lambda Z: project_partial_C(Z, n, m, gathers),
+            stack_blocks(Y0, blocks), blocks=blocks)
 
     value = None
     if stop_on_gap:
         def value(X):
-            return biquadratic_form(G, *read_out(X))
+            # the form at (x, y) read from X's leading eigenvector, or from
+            # the top eigenpairs of its blocks
+            v = _rank_one_eig(X)[3] if blocks is None else _block_eig(X, blocks)[2]
+            return biquadratic_form(G, *_leading_factors(v, n))
 
-    report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
-                   method, cfg, value)
-    x, y = read_out(report.values, report.extracted_x)
+    report = solve(problem, method, cfg, value)
+    x, y = _leading_factors(report.extracted_x, n)
     if not report.certified:
         x, y = _mbi_biquadratic(G, x, y, cfg.seed, report.bound, cfg.rank_tol)
     # the form is even in x and in y: every sign is a tie
@@ -278,9 +278,11 @@ def solve_quadrilinear(F: np.ndarray, method: str = "sdp",
     """Maximize F(x1, x2, x3, x4) over unit vectors via stacking.
 
     x = (x1; x3) and y = (x2; x4).  Negating x3 and x4 fixes F, so the
-    bi-quadratic solve reads its iterate by the blocks of that flip: the
-    rows i*(n2 + n4) + j with exactly one of i >= n1, j >= n2 are odd.  It
-    stops on the duality gap (`stop_on_gap`); X itself is never rank one.
+    bi-quadratic relaxation is solved in the two diagonal blocks of that
+    flip: the rows i*(n2 + n4) + j with exactly one of i >= n1, j >= n2
+    are odd.  X itself is never rank one, but a converged X is rank one in
+    each block, which `report.certified` tests.  The solve stops on the
+    duality gap (`stop_on_gap`).
     """
     F = np.asarray(F, dtype=float)
     n1, n2, n3, n4 = F.shape

@@ -25,7 +25,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .matricize import is_partial_symmetric, matr_partial
-from .tensors import SuperSymmetricTensor
+from .tensors import SuperSymmetricTensor, _with_classes
 
 __all__ = ["FORMAT_VERSION", "KINDS", "TensorFileError", "LoadedTensor",
            "read_tensor", "write_tensor"]
@@ -153,7 +153,8 @@ def read_tensor(path) -> LoadedTensor:
         raise TensorFileError("unexpected content after the entry rows", number)
 
     if kind == "super_symmetric":
-        data = SuperSymmetricTensor(dims[0], order, entries)
+        # the rows are checked sorted, in range and distinct above
+        data = _with_classes(dims[0], order, dict(entries))
     else:
         data = np.zeros(dims)
         for idx, value in entries:

@@ -7,6 +7,12 @@ bi-quadratic solver.  Both affine projections are one formula: average
 over the symmetry, then shift along the averaged identity until the trace
 is one.
 
+A relaxation fixed by a sign flip runs on its diagonal blocks: a
+(B, s, s) stack, each block's rows padded with zero rows to the largest
+size s (`stack_blocks` and `lift_blocks`).  The spectral operators act
+on every matrix of a stack, with one batched eigendecomposition, and
+`project_partial_C` has a block form.
+
 The symmetric solvers run in moment coordinates: K x K matrices M in the
 orthonormal basis B of Sym^d(R^n), K = C(n+d-1, d), whose column k is the
 indicator of d-multiset class k divided by sqrt(c_k).  `lift_moment` maps
@@ -31,6 +37,9 @@ __all__ = [
     "shrink_nuclear",
     "project_psd",
     "project_partial_C",
+    "partial_block_gathers",
+    "stack_blocks",
+    "lift_blocks",
 ]
 
 
@@ -140,36 +149,117 @@ def shrink_nuclear(M: np.ndarray, tau: float) -> np.ndarray:
 
     Unique minimizer of tau*||Y||_* + 0.5*||Y - M||_F^2.  For symmetric M
     the SVD is realized through the eigendecomposition: the singular values
-    are |eig| and the sign folds into the left factor.
+    are |eig| and the sign folds into the left factor.  A (B, s, s) stack
+    is shrunk matrix by matrix.
     """
     if tau < 0:
         raise ValueError("shrinkage threshold must be nonnegative")
     M = np.asarray(M, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    w, V = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
     shrunk = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
-    return (V * shrunk) @ V.T
+    return (V * shrunk[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 def project_psd(M: np.ndarray) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm.
 
-    Eigendecompose and clip negative eigenvalues at exactly zero.
+    Eigendecompose and clip negative eigenvalues at exactly zero.  A
+    (B, s, s) stack is projected matrix by matrix.
     """
     M = np.asarray(M, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    return (V * np.maximum(w, 0.0)) @ V.T
+    w, V = np.linalg.eigh(0.5 * (M + M.swapaxes(-1, -2)))
+    return (V * np.maximum(w, 0.0)[..., None, :]) @ V.swapaxes(-1, -2)
 
 
-def project_partial_C(Z: np.ndarray, n: int, m: int) -> np.ndarray:
+def stack_blocks(M: np.ndarray, blocks) -> np.ndarray:
+    """The diagonal blocks of M on the rows `blocks` lists, as a stack.
+
+    Block b is M[rows, rows] for rows = blocks[b], in the order given,
+    padded with zero rows and columns to the largest block's size.
+    """
+    M = np.asarray(M, dtype=float)
+    size = max(len(rows) for rows in blocks)
+    out = np.zeros((len(blocks), size, size))
+    for b, rows in enumerate(blocks):
+        out[b, :len(rows), :len(rows)] = M[np.ix_(rows, rows)]
+    return out
+
+
+def lift_blocks(S: np.ndarray, blocks) -> np.ndarray:
+    """The N x N matrix with the diagonal blocks of stack S, zero elsewhere.
+
+    The inverse of `stack_blocks` on block-diagonal matrices; `blocks`
+    partitions the N rows.
+    """
+    size = sum(len(rows) for rows in blocks)
+    out = np.zeros((size, size))
+    for b, rows in enumerate(blocks):
+        out[np.ix_(rows, rows)] = S[b, :len(rows), :len(rows)]
+    return out
+
+
+def partial_block_gathers(n: int, m: int, blocks):
+    """Flat gathers that run project_partial_C on a stack of diagonal blocks.
+
+    `blocks` splits the nm rows (row i*m + j for factor indices (i, j)) by
+    the sign of a flip D of the two factors.  Each swap of modes (0, 2)
+    and (1, 3) then maps an entry of a diagonal block to an entry of a
+    diagonal block.  Returns (swap02, swap13, diagonal, padding): the flat
+    stack position of each entry's image under each swap (a padding entry
+    maps to itself), the positions of the nm real diagonal entries, and
+    those of the padding.  ValueError when a swap leaves the blocks, i.e.
+    when no such flip splits the rows this way.
+    """
+    size = max(len(rows) for rows in blocks)
+    block_of = np.full(n * m, -1)
+    position = np.zeros(n * m, dtype=np.intp)
+    for b, rows in enumerate(blocks):
+        block_of[rows], position[rows] = b, np.arange(len(rows))
+    if (block_of < 0).any():
+        raise ValueError("blocks must cover every row")
+    flat = np.arange(len(blocks) * size * size).reshape(len(blocks), size, size)
+    swap02, swap13 = flat.copy(), flat.copy()
+    real = np.zeros(flat.shape, dtype=bool)
+    for b, rows in enumerate(blocks):
+        k = len(rows)
+        i, j = np.divmod(np.asarray(rows)[:, None], m)
+        p, q = np.divmod(np.asarray(rows)[None, :], m)
+        for out, row, col in ((swap02, p * m + j, i * m + q),
+                              (swap13, i * m + q, p * m + j)):
+            if (block_of[row] != block_of[col]).any():
+                raise ValueError("the blocks are not fixed by both swaps")
+            out[b, :k, :k] = flat[block_of[row], position[row], position[col]]
+        real[b, :k, :k] = True
+    diagonal = np.concatenate([flat[b].diagonal()[:len(rows)]
+                               for b, rows in enumerate(blocks)])
+    return swap02.ravel(), swap13.ravel(), diagonal, flat[~real]
+
+
+def project_partial_C(Z: np.ndarray, n: int, m: int,
+                      gathers=None) -> np.ndarray:
     """Nearest nm x nm matrix whose tensor is partial-symmetric with unit trace.
 
     The same formula as project_C, X = P(Z) + (1 - tr P(Z)) / tr P(I) * P(I),
     with P = partial_symmetrize.  Every diagonal position (i, j, i, j) is
     fixed by both swaps, so P(I) = I and the shift is uniform: average,
-    then move the diagonal by (1 - trace)/(nm).
+    then move the diagonal by (1 - trace)/(nm).  With the `gathers` of
+    `partial_block_gathers`, Z is the stack of a block-diagonal matrix's
+    blocks, and the result is that of the lifted Z, stacked, with its
+    padding zero.
     """
     Z = np.asarray(Z, dtype=float)
     size = n * m
+    if gathers is not None:
+        swap02, swap13, diagonal, padding = gathers
+        if Z.size != swap02.size:
+            raise ValueError(f"expected a stack of {swap02.size} entries, "
+                             f"got {Z.shape}")
+        z = Z.ravel()
+        t = 0.5 * (z + z[swap02])
+        x = 0.5 * (t + t[swap13])
+        x[diagonal] += (1.0 - float(x[diagonal].sum())) / size
+        x[padding] = 0.0
+        return x.reshape(Z.shape)
     if Z.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got {Z.shape}")
     X = partial_symmetrize(Z.reshape(n, m, n, m)).reshape(size, size)

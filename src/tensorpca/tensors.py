@@ -183,7 +183,7 @@ class SuperSymmetricTensor:
         keys = set(self._values) | set(other._values)
         vals = {k: self._values.get(k, 0.0) + sign * other._values.get(k, 0.0)
                 for k in keys}
-        return _with_classes(self, vals)
+        return _with_classes(self.n, self.m, vals)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -194,7 +194,7 @@ class SuperSymmetricTensor:
     def __mul__(self, scalar):
         scalar = float(scalar)
         return _with_classes(
-            self, {k: scalar * v for k, v in self._values.items()})
+            self.n, self.m, {k: scalar * v for k, v in self._values.items()})
 
     __rmul__ = __mul__
 
@@ -203,14 +203,15 @@ class SuperSymmetricTensor:
                 f"classes={len(self._values)})")
 
 
-def _with_classes(f: SuperSymmetricTensor, values: dict) -> SuperSymmetricTensor:
-    # a tensor of f's shape holding `values`, keyed by f's canonical class
-    # keys or another tensor's of that shape: the constructor's checks but
-    # the key canonicalization, which would only sort each key again
+def _with_classes(n: int, m: int, values: dict) -> SuperSymmetricTensor:
+    # the (n, m) tensor holding `values`, Python floats keyed by distinct
+    # canonical (sorted, in-range) class keys of length m: the
+    # constructor's finiteness check but not its key canonicalization,
+    # which would only sort each key again
     for key, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"entry {key} is not finite: {v}")
-    out = SuperSymmetricTensor(f.n, f.m)
+    out = SuperSymmetricTensor(n, m)
     out._values = values
     return out
 
@@ -229,7 +230,7 @@ def symmetrize(t: np.ndarray) -> SuperSymmetricTensor:
     n, m = t.shape[0], t.ndim
     keys, class_id, counts = _class_table(n, m)
     means = np.bincount(class_id, weights=t.ravel(), minlength=len(keys)) / counts
-    return SuperSymmetricTensor(n, m, dict(zip(keys, means)))
+    return _with_classes(n, m, dict(zip(keys, means.tolist())))
 
 
 def _as_dense(f) -> np.ndarray:
@@ -313,7 +314,7 @@ def rank_one(lam: float, a: np.ndarray, m: int) -> SuperSymmetricTensor:
         raise ValueError("need a vector and a positive order")
     keys, _, _ = _class_table(a.size, m)
     vals = {k: float(lam) * float(np.prod(a[list(k)])) for k in keys}
-    return SuperSymmetricTensor(a.size, m, vals)
+    return _with_classes(a.size, m, vals)
 
 
 def inner(f: SuperSymmetricTensor, g: SuperSymmetricTensor) -> float:

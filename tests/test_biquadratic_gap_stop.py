@@ -4,9 +4,9 @@
 files call `solve_biquadratic` with `stop_on_gap`: the form at the
 iterate's read-out is compared with the dual bound on `run_admm`'s check
 schedule, and one ascent from the stopped read-out polishes it.  The
-quadri-linear route also passes the rows its sign flip negates, and reads
-z from X's two parity blocks.  Direct `solve_biquadratic` calls keep
-running to convergence.
+quadri-linear route also passes the rows its sign flip negates, solves in
+the two diagonal blocks of that flip and reads z from them.  Direct
+`solve_biquadratic` calls keep running to convergence.
 """
 
 import math
@@ -19,9 +19,10 @@ from tensorpca import (SolverConfig, main, random_partial_symmetric,
                        solve_biquadratic, solve_leading_pc,
                        trilinear_to_biquadratic, write_tensor)
 from tensorpca import extensions, extraction
-from tensorpca.extensions import (_parity_read_out, biquadratic_form,
-                                  quadrilinear_to_biquadratic)
+from tensorpca.admm import _block_eig
+from tensorpca.extensions import biquadratic_form, quadrilinear_to_biquadratic
 from tensorpca.matricize import _leading_factors
+from tensorpca.projection import stack_blocks
 
 ARRAYS = [(shape, s) for shape in ((4, 4, 4), (3, 3, 3, 3)) for s in range(20)]
 PARTIAL = [(n, m, s) for n, m in ((4, 4), (4, 6)) for s in range(10)]
@@ -141,7 +142,8 @@ def test_parity_read_out_recovers_the_value_at_z(dims):
     z = np.kron(x, y)
     D = flip_diagonal(*dims)
     X = 0.5 * (np.outer(z, z) + np.outer(D * z, D * z))
-    v = _parity_read_out(X, D < 0)
+    blocks = (np.flatnonzero(D > 0), np.flatnonzero(D < 0))
+    v = _block_eig(stack_blocks(X, blocks), blocks)[2]
     assert biquadratic_form(G, *_leading_factors(v, n1 + n3)) == \
         pytest.approx(biquadratic_form(G, x, y), rel=1e-12, abs=1e-12)
 

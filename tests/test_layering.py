@@ -82,3 +82,18 @@ def test_oracle_imports_only_tensors():
              if isinstance(node, ast.ImportFrom) for alias in node.names
              if package_imports(node)}
     assert names == {"SuperSymmetricTensor", "_canonical_sign", "_unit"}, names
+
+
+NUMPY_2_ONLY = {"mT", "matrix_transpose"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_numpy_2_transpose(module):
+    # pyproject allows numpy >= 1.22, which has neither `.mT` nor
+    # `np.matrix_transpose`; stacks transpose with M.swapaxes(-1, -2)
+    used = [(name, node.lineno) for node in ast.walk(parse(module))
+            for name in (getattr(node, "attr", None), getattr(node, "id", None),
+                         *(alias.name for alias in getattr(node, "names", ())
+                           if isinstance(node, ast.ImportFrom)))
+            if name in NUMPY_2_ONLY]
+    assert not used, f"{module} uses a numpy 2 transpose: {used}"

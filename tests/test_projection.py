@@ -10,7 +10,8 @@ from tensorpca import (alpha, project_C, project_partial_C, shrink_nuclear,
                        is_super_symmetric, is_partial_symmetric, kkt_project,
                        enumerate_signatures, identity_power, lift_moment,
                        project_moment_C)
-from tensorpca.projection import _trace_classes
+from tensorpca.projection import (_trace_classes, lift_blocks,
+                                  partial_block_gathers, stack_blocks)
 from tensorpca.tensors import _class_table
 
 
@@ -260,3 +261,83 @@ def test_projection_shape_checks():
         project_partial_C(np.zeros((5, 5)), 2, 3)
     with pytest.raises(ValueError):
         project_moment_C(np.zeros((4, 4)), 2, 2)
+
+
+def old_project_psd(M):
+    # the 2-D operator as it was before it took stacks
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    return (V * np.maximum(w, 0.0)) @ V.T
+
+
+def old_shrink_nuclear(M, tau):
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    shrunk = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
+    return (V * shrunk) @ V.T
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 18])
+def test_spectral_operators_act_per_matrix_of_a_stack(size):
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        S = rng.standard_normal((2, size, size))
+        psd, shrunk = project_psd(S), shrink_nuclear(S, 0.4)
+        assert psd.shape == shrunk.shape == S.shape
+        for b in range(2):
+            np.testing.assert_allclose(psd[b], project_psd(S[b]),
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(shrunk[b], shrink_nuclear(S[b], 0.4),
+                                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("size", [1, 3, 6, 21, 36])
+def test_spectral_operators_on_a_matrix_are_unchanged(size):
+    rng = np.random.default_rng(10 + size)
+    for _ in range(5):
+        M = rng.standard_normal((size, size))
+        np.testing.assert_array_equal(project_psd(M), old_project_psd(M))
+        for tau in (0.0, 0.3):
+            np.testing.assert_array_equal(shrink_nuclear(M, tau),
+                                          old_shrink_nuclear(M, tau))
+
+
+def flip_blocks(n1, n2, n3, n4):
+    # the rows of the stacked (n1 + n3)(n2 + n4) matrix that the flip of the
+    # second block of each factor fixes, and those it negates
+    i, j = np.divmod(np.arange((n1 + n3) * (n2 + n4)), n2 + n4)
+    odd = (i >= n1) != (j >= n2)
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 4, 2), (1, 2, 1, 1),
+                                  (1, 1, 1, 1)])
+def test_block_projection_is_the_dense_projection_of_the_blocks(dims):
+    n, m = dims[0] + dims[2], dims[1] + dims[3]
+    blocks = flip_blocks(*dims)
+    gathers = partial_block_gathers(n, m, blocks)
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(5):
+        # a block-diagonal Z, and its stack with noise in the padding
+        Z = lift_blocks(stack_blocks(rng.standard_normal((n * m, n * m)),
+                                     blocks), blocks)
+        stack = stack_blocks(Z, blocks)
+        for b, rows in enumerate(blocks):
+            stack[b, len(rows):, :] = stack[b, :, len(rows):] = 1.0
+        X = project_partial_C(stack, n, m, gathers)
+        dense = project_partial_C(Z, n, m)
+        np.testing.assert_allclose(lift_blocks(X, blocks), dense,
+                                   rtol=0, atol=1e-15)
+        for b, rows in enumerate(blocks):
+            assert not X[b, len(rows):, :].any() and not X[b, :, len(rows):].any()
+            np.testing.assert_array_equal(X[b], X[b].T)
+
+
+def test_block_projection_refuses_blocks_no_flip_gives():
+    with pytest.raises(ValueError, match="swaps"):
+        # no sign flip of x and y negates row (1, 1) alone: swapping modes
+        # (0, 2) takes entry ((0, 1), (1, 0)) to ((1, 1), (0, 0))
+        partial_block_gathers(2, 2, (np.array([0, 1, 2]), np.array([3])))
+    with pytest.raises(ValueError, match="every row"):
+        partial_block_gathers(2, 2, (np.array([0, 3]), np.array([1])))
+    gathers = partial_block_gathers(2, 2, flip_blocks(1, 1, 1, 1))
+    with pytest.raises(ValueError, match="stack"):
+        project_partial_C(np.zeros((4, 4)), 2, 2, gathers)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from tensorpca import (SuperSymmetricTensor, canonical_index, class_size,
                        multinomial, enumerate_signatures, symmetrize,
                        eval_multilinear, eval_homogeneous, rank_one, inner,
-                       identity_power, random_gaussian, random_uniform)
+                       identity_power, random_gaussian, random_uniform,
+                       read_tensor, write_tensor)
 
 
 def dense_eval(t, xs):
@@ -203,3 +205,40 @@ def test_random_generators_are_seeded_and_symmetric():
 def test_random_generators_reject_empty_shapes(maker, n, m):
     with pytest.raises(ValueError, match="at least 1"):
         maker(n, m, 0)
+
+
+def stored(F):
+    # every stored class as (key, value bits, value type), in key order
+    return [(k, struct.pack("d", v), type(v)) for k, v in sorted(F.items())]
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (3, 4), (4, 3), (5, 2)])
+def test_built_tensors_store_canonical_keys_and_python_floats(n, m, tmp_path):
+    # symmetrize, rank_one and the reader skip the constructor's key sort;
+    # what they store is what the constructor would store from the same rows
+    rng = np.random.default_rng(n * m)
+    a = rng.standard_normal(n)
+    keys = list(itertools.combinations_with_replacement(range(n), m))
+    S, R = symmetrize(rng.standard_normal((n,) * m)), rank_one(-1.5, a, m)
+    for F in (S, R):
+        assert [k for k, _ in sorted(F.items())] == keys
+        assert stored(F) == stored(SuperSymmetricTensor(n, m, F.items()))
+        assert all(type(v) is float for _, v in F.items())
+    assert stored(R) == stored(SuperSymmetricTensor(n, m, {
+        k: -1.5 * float(np.prod(a[list(k)])) for k in keys}))
+    path = tmp_path / "s.tensor"
+    write_tensor(path, S)
+    loaded = read_tensor(path).data
+    assert stored(loaded) == [row for row in stored(S) if row[1] != bytes(8)]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_built_tensors_refuse_non_finite_values(bad):
+    t = np.zeros((2, 2, 2))
+    t[0, 1, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        symmetrize(t)
+    with pytest.raises(ValueError, match="not finite"):
+        rank_one(bad, np.ones(2), 3)
+    with pytest.raises(ValueError, match="not finite"):
+        rank_one(1e300, np.full(2, 1e10), 3)
