@@ -14,7 +14,14 @@ lambda_max(C + S) - <S, X> at any X in the set, capped iterates included.
 `solve` takes S from the ADMM's last multiplier, so the bound is tight at
 a solution; `certifies` is the one certificate rule that reads it.  Given
 the value a route reads out of an iterate, `solve` also stops the ADMM as
-soon as that value closes the gap to the bound at the same iterate.
+soon as that value closes the gap to the bound at the same iterate.  The
+routes polish that read-out to a KKT point of the form first
+(`newton_refine`, `polish_biquadratic`: Newton steps on a product of
+spheres) and hand over its rank-one point u u^T; the bound is then
+corrected by the least-norm D orthogonal to L that makes u an eigenvector
+of C + S, and is the smaller of the two.  On a tight relaxation that is
+the value itself once u is the maximum, so the gap closes after a few
+iterations, long before the multiplier converges.
 
 The symmetric relaxation runs on K x K moment matrices, K = C(n+d-1, d),
 not on n**d x n**d ones: every iterate lies in Sym^d (x) Sym^d, and the
@@ -37,7 +44,8 @@ import numpy as np
 from .matricize import _leading_factors, _rank_one_eig, matr
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import (_moment_tables, lift_blocks, lift_moment,
-                         moment_class_values, project_moment_C)
+                         moment_class_values, moment_normal, moment_point,
+                         project_moment_C)
 from .projection import project_C  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_psd, shrink_nuclear
 from .tensors import (SuperSymmetricTensor, _class_table, _fix_sign, _unit,
@@ -52,6 +60,8 @@ __all__ = [
     "solve_sdp",
     "certifies",
     "neg_eig_mass",
+    "newton_refine",
+    "polish_biquadratic",
 ]
 
 
@@ -96,7 +106,7 @@ class SolveReport:
     reached cfg.tol, "gap" when the ADMM stopped earlier because the value
     read out of X closed the gap to the bound at X (only when the caller
     asked for it, as `extraction.solve_even_order` and the bi-quadratic
-    routes of `extensions` do), and "iter_cap"
+    routes of `extensions` do; see `solve`), and "iter_cap"
     when cfg.max_iter ran out first.  certified: the rank-one certificate,
     the solve converged and rank_one_ratio <= cfg.rank_tol.  On a relaxation
     solved in diagonal blocks (`Relaxation.blocks`) rank_one_ratio is the
@@ -105,7 +115,12 @@ class SolveReport:
     blocks' top eigenpairs instead of the leading eigenvector.  bound:
     lambda_max(C + S) - <S, X>, an upper bound on the relaxation and so on
     the form's maximum, valid at any iterate (nan for a bare matrix, which
-    has no multiplier).  extracted_lambda is the value the route returns
+    has no multiplier).  S is the last multiplier projected onto the
+    complement of L; on a "gap" stop whose route gave a rank-one point,
+    the bound is the smaller of that and the bound at S plus the
+    correction that makes the point an eigenvector of C + S, and
+    extracted_lambda and extracted_x are that check's polished value and
+    point.  extracted_lambda is the value the route returns
     on this relaxation's form, the refinement's or the fallback's when one
     ran, and gap = bound - extracted_lambda.  A returned value is certified
     by `certifies`: rank one at a converged iterate, or a closed gap at an
@@ -158,12 +173,17 @@ class Relaxation:
     `projection.stack_blocks` takes it): C, start, `project` and every
     iterate are then the stack of those blocks, zero-padded to the largest,
     and `project` keeps the padding zero.  None is one N x N block.
+    `normal`, when not None, maps a unit rank-one point u (u u^T feasible)
+    to T(u), the matrix of y -> P(sym(y u^T)) u with P the projection onto
+    the complement of the set's directions (`projection.moment_normal`,
+    `projection.partial_normal`); `solve` corrects its dual bound with it.
     """
     C: np.ndarray
     project: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
     moment: Optional[Tuple[int, int]] = None
     blocks: Optional[Tuple[np.ndarray, ...]] = None
+    normal: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def neg_eig_mass(X: np.ndarray) -> float:
@@ -181,14 +201,18 @@ def neg_eig_mass(X: np.ndarray) -> float:
 # bring it back.
 MEMORY = 5
 REGULARIZATION = 1e-10
-# relative change plus primal residual at the first gap check; later checks
-# wait for that sum to halve.  A check costs about two iterations (two
-# symmetric eigenproblems), so checking every iteration doubled solve times
+# the gap checks: at these iterations when the bound is corrected at the
+# polished read-out (`solve`), which on a tight relaxation is the maximum
+# after a few iterations, then once relative change plus primal residual
+# is at most GAP_CHECK_START and each time that sum halves.  A check costs
+# a few iterations (a read-out, its polish and two symmetric
+# eigenproblems), so checking every iteration doubled solve times
+EARLY_CHECKS = (2, 4, 8)
 GAP_CHECK_START = 1e-2
 
 
 def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
-             *, stop=None):
+             *, stop=None, early=()):
     """The splitting loop shared by all drivers, as an accelerated fixed point.
 
     With Lam the multiplier, X-update X = project(Y + mu*Lam) and Y-update
@@ -213,8 +237,9 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
     with X_0 = Y0, or at iteration cfg.max_iter.  Every X_{k-1} has trace
     one, so the denominator is at least 1/sqrt(N).  With `stop`, it also
     stops when stop(X_k, mu*Lam_k) holds, asked only after both tests above
-    failed, first once that sum is at most GAP_CHECK_START and again each
-    time it falls to half its value at the last call.  Returns (X, Y,
+    failed (so never at the cap): at the iterations `early` lists, once
+    that sum is at most GAP_CHECK_START, and again each time it falls to
+    half its value at the last call that had reached it.  Returns (X, Y,
     iterations, rel_change, primal, stopped, mu*Lam) for the X and Y the
     last check measured; stopped is False only when the cap ended the loop.
     """
@@ -236,8 +261,9 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
         if rel + primal <= cfg.tol or iteration == cfg.max_iter:
             return (X, Y, iteration, rel, primal, rel + primal <= cfg.tol,
                     Y - Q + mu_C)
-        if stop is not None and rel + primal <= check_at:
-            check_at = 0.5 * (rel + primal)
+        if stop is not None and (rel + primal <= check_at
+                                 or iteration in early):
+            check_at = min(check_at, 0.5 * (rel + primal))
             mu_lam = Y - Q + mu_C
             if stop(X, mu_lam):
                 return X, Y, iteration, rel, primal, True, mu_lam
@@ -327,17 +353,30 @@ def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
         values=values, moment=moment)
 
 
+# a bound below the value it bounds by more than this, relatively, is
+# numerically broken: rounding moves a tight bound by about 1e-15
+BOUND_ROUNDING = 1e-12
+
+
 def closes_gap(bound: float, value: float, rank_tol: float) -> bool:
-    """value is within rank_tol * |bound| of the bound (never for a nan bound)."""
-    return bound - value <= rank_tol * abs(bound)
+    """value is within rank_tol * |bound| below the bound.
+
+    Never for a nan bound, and never for a bound below the value by more
+    than rounding (BOUND_ROUNDING * |bound|): every bound lies above every
+    value, so such a bound is broken and closes nothing.
+    """
+    return (value - bound <= BOUND_ROUNDING * abs(bound)
+            and bound - value <= rank_tol * abs(bound))
 
 
 def certifies(report: SolveReport, rank_tol: float) -> bool:
     """The certificate of the value a route returns, report.extracted_lambda.
 
     X is rank one at a converged iterate, or the value closes the gap to
-    the dual bound at an iterate that convergence or the gap stop ended.
-    An iteration cap certifies nothing, closed gap or not.
+    the report's bound (`closes_gap`) at an iterate that convergence or
+    the gap stop ended.  On a gap stop that bound was corrected at the
+    polished read-out (`solve`), so it certifies that read-out.  An
+    iteration cap certifies nothing, closed gap or not.
     """
     if report.termination == "iter_cap":
         return False
@@ -346,14 +385,18 @@ def certifies(report: SolveReport, rank_tol: float) -> bool:
             or closes_gap(report.bound, report.extracted_lambda, rank_tol))
 
 
-def _dual_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray,
-                zero: np.ndarray) -> float:
+def _multiplier(problem: Relaxation, Z: np.ndarray,
+                zero: np.ndarray) -> np.ndarray:
     # S = Z minus its projection onto L: project(Z) - zero, with zero =
     # project(0), is the affine projection's linear part, which is that
-    # projection.  A block-diagonal C + S has the largest eigenvalue of
-    # its blocks
+    # projection
     S = Z - (problem.project(Z) - zero)
-    S = 0.5 * (S + S.swapaxes(-1, -2))
+    return 0.5 * (S + S.swapaxes(-1, -2))
+
+
+def _bound_at(problem: Relaxation, X: np.ndarray, S: np.ndarray) -> float:
+    # lambda_max(C + S) - <S, X>.  A block-diagonal C + S has the largest
+    # eigenvalue of its blocks
     M = problem.C + S
     if problem.blocks is None:
         top = np.linalg.eigvalsh(M)[-1]
@@ -363,8 +406,65 @@ def _dual_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray,
     return float(top - np.sum(S * X))
 
 
+def _dual_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray,
+                zero: np.ndarray) -> float:
+    # the module's bound at the multiplier Z, projected onto L-perp first,
+    # so it is a bound whatever Z is
+    return _bound_at(problem, X, _multiplier(problem, Z, zero))
+
+
+# Tikhonov weight of the correction's least squares, relative to the trace
+# of its matrix, and the largest correction kept, relative to ||C|| + ||S||
+CORRECTION_REGULARIZATION = 1e-10
+CORRECTION_CAP = 10.0
+
+
+def _correction(problem: Relaxation, S: np.ndarray,
+                u: np.ndarray) -> Optional[np.ndarray]:
+    # M = sym(y u^T) whose projection D = P(M) onto L-perp is the least-norm
+    # correction that makes the unit u an eigenvector of C + S + D: y is
+    # orthogonal to u and solves Pu T(u) Pu y = -Pu (C + S) u, Pu = I - u u^T,
+    # by regularized least squares.  At a KKT point of the form the right
+    # side lies in the range (the tangent part of (C + S) u is the form's
+    # gradient there).  ||D||^2 = y^T T(u) y.  None when there is nothing
+    # to solve or D is out of scale
+    T = problem.normal(u)
+    Tu = T @ u
+    A = T - np.outer(u, Tu) - np.outer(Tu, u) + float(u @ Tu) * np.outer(u, u)
+    scale = CORRECTION_REGULARIZATION * float(np.trace(A))
+    if not scale > 0.0:
+        return None
+    r = (problem.C + S) @ u
+    A.flat[::len(u) + 1] += scale
+    y = np.linalg.solve(A, float(u @ r) * u - r)
+    # y is orthogonal to u up to rounding over the regularization; removed
+    # exactly, since D(u) u need not be parallel to u (in moment
+    # coordinates it is project(0) u)
+    y -= float(u @ y) * u
+    limit = CORRECTION_CAP * (np.linalg.norm(problem.C) + np.linalg.norm(S))
+    if not float(y @ T @ y) <= limit * limit:
+        return None
+    return 0.5 * (np.outer(y, u) + np.outer(u, y))
+
+
+def _checked_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray,
+                   u: Optional[np.ndarray], zero: np.ndarray) -> float:
+    # min(bound at Z, bound at Z + M), M the correction at the rank-one
+    # point u, which `_dual_bound` projects onto L-perp; the bound at Z
+    # alone without u or a closed-form T(u)
+    S = _multiplier(problem, Z, zero)
+    bound = _bound_at(problem, X, S)
+    if u is None or problem.normal is None:
+        return bound
+    M = _correction(problem, S, u)
+    if M is None:
+        return bound
+    return min(bound, _dual_bound(problem, X, Z + M, zero))
+
+
 def solve(problem: Relaxation, method: str, cfg: SolverConfig,
-          value: Optional[Callable[[np.ndarray], float]] = None
+          value: Optional[Callable[[np.ndarray],
+                                   Tuple[float, Optional[np.ndarray]]]] = None
           ) -> SolveReport:
     """Run a relaxation through the ADMM and report on its last X.
 
@@ -373,10 +473,19 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     singular values by mu*rho, for the penalized objective
     tr(CX) - rho*||X||_*.  `run_admm` has the iteration.  The report's
     bound takes Z = -Lam, the last multiplier, into the module's dual bound.
-    `value(X)`, when given, is the value the route reads out of an iterate:
-    the ADMM then also stops, with termination "gap", once
-    closes_gap(bound at X, value(X), cfg.rank_tol) holds at one of
-    `run_admm`'s checks.
+
+    `value(X)`, when given, returns (value, point): the value the route
+    reads out of an iterate, polished, and the unit u whose u u^T is the
+    feasible rank-one point of that value (None when the route has none).
+    At each of `run_admm`'s checks the bound is then min(bound at Z, bound
+    at Z + D), D the least-norm correction in L-perp that makes u an
+    eigenvector of C + S (`problem.normal`).  When u is the maximum of a
+    tight relaxation that bound is the value up to rounding, so the first
+    check whose read-out is the maximum closes the gap.  The ADMM stops,
+    with termination "gap", once closes_gap(bound, value, cfg.rank_tol)
+    holds; the report's bound is then that check's, and when u is given
+    its extracted_lambda is the value and its extracted_x u (lifted to
+    length n**d in moment coordinates).
     """
     C = problem.C
     if not C.any():
@@ -394,18 +503,154 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     else:
         raise ValueError(f"unknown method {method!r}")
     zero = problem.project(np.zeros_like(C))
-    stop = None
+    stop, last = None, []
     if value is not None:
         def stop(X, mu_lam):
-            bound = _dual_bound(problem, X, -mu_lam / cfg.mu, zero)
-            return closes_gap(bound, value(X), cfg.rank_tol)
+            val, u = value(X)
+            bound = _checked_bound(problem, X, -mu_lam / cfg.mu, u, zero)
+            last[:] = bound, val, u
+            return closes_gap(bound, val, cfg.rank_tol)
     X, _, iterations, rel, primal, stopped, mu_lam = run_admm(
-        problem.project, prox, C, problem.start, cfg, stop=stop)
-    bound = _dual_bound(problem, X, -mu_lam / cfg.mu, zero)
+        problem.project, prox, C, problem.start, cfg, stop=stop,
+        early=EARLY_CHECKS if problem.normal is not None else ())
     termination = ("converged" if rel + primal <= cfg.tol
                    else "gap" if stopped else "iter_cap")
-    return _summarize(X, C, cfg.rank_tol, iterations, rel, primal, termination,
-                      problem.moment, bound, problem.blocks)
+    if termination == "gap":
+        bound, val, u = last
+    else:
+        bound = _dual_bound(problem, X, -mu_lam / cfg.mu, zero)
+    report = _summarize(X, C, cfg.rank_tol, iterations, rel, primal,
+                        termination, problem.moment, bound, problem.blocks)
+    if termination == "gap" and u is not None:
+        if problem.moment is not None:
+            u = lift_moment(u, *problem.moment)
+        report = replace(report, extracted_lambda=val, extracted_x=u)
+    return report
+
+
+# The polish of a read-out: safeguarded Newton steps toward a KKT point of
+# a form on a product of unit spheres, each step kept only while the form
+# does not fall.  Quadratic convergence takes a read-out near a maximum to
+# rounding in a few steps: after a kept step shorter than NEWTON_SETTLED the
+# next one would move x by about its square, so the steps stop there.  The
+# cap only bounds a slow climb from far away
+NEWTON_STEPS = 30
+NEWTON_SETTLED = 1e-8
+# alternating sweeps before the bi-quadratic Newton steps
+POLISH_SWEEPS = 3
+
+
+def _sphere_newton(xs, contract):
+    # xs: unit blocks.  contract(x), x the blocks concatenated, returns
+    # (H, g, value) scaled so that the KKT point reads g_b = value x_b on
+    # every block b and the Riemannian Hessian is P (H - value I) P, P the
+    # projection onto the tangent space.  The Newton step s is tangent with
+    # P (H - value I) s = g - value x, the bordered system
+    # [[H - value I, N], [N^T, 0]] (s, c) = (g - value x, 0), N holding each
+    # x_b in its block's rows (Jaffe, Weiss & Nadler, SIAM J. Matrix Anal.
+    # Appl. 2018, for one sphere), and every block moves to unit(x_b - s_b).
+    # Returns the blocks and the value
+    sizes = [len(b) for b in xs]
+    n, k = sum(sizes), len(sizes)
+    block = np.repeat(np.arange(k), sizes)
+    rows, border = np.arange(n), n + block
+    x = np.concatenate(xs)
+    H, g, value = contract(x)
+    K = np.zeros((n + k, n + k))
+    rhs = np.zeros(n + k)
+    for _ in range(NEWTON_STEPS):
+        K[:n, :n] = H
+        K[rows, rows] -= value
+        K[rows, border] = K[border, rows] = x
+        rhs[:n] = g - value * x
+        try:
+            s = np.linalg.solve(K, rhs)[:n]
+        except np.linalg.LinAlgError:
+            break
+        candidate = x - s
+        norms = np.sqrt(np.bincount(block, weights=candidate * candidate))
+        if not norms.all():
+            break
+        candidate /= norms[block]
+        step = contract(candidate)
+        if not step[2] >= value:  # fell, or nan from a near-singular system
+            break
+        rising = step[2] > value
+        x, (H, g, value) = candidate, step
+        if not rising or float(s @ s) <= NEWTON_SETTLED ** 2:
+            break
+    return np.split(x, np.cumsum(sizes)[:-1]), value
+
+
+def newton_refine(F: SuperSymmetricTensor, x: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton steps on the sphere toward a Z-eigenpair of F.
+
+    x is a unit vector.  With lambda = F(x), H = F x^(m-2) (an n x n
+    matrix) and P = I - x x^T, each step solves
+    P ((m-1) H - lambda I) P s = F x^(m-1) - lambda x for a tangent s and
+    moves to unit(x - s).  Near a local maximum the steps converge
+    quadratically.  A step is kept only if F does not fall, and the steps
+    stop once F stops rising, once a kept step is shorter than
+    NEWTON_SETTLED, or after NEWTON_STEPS, so F(result) >= F(x).  The
+    result is signed by the form.
+    """
+    return _fix_sign(F, _newton_symmetric(F, x)[0])
+
+
+def _newton_symmetric(F: SuperSymmetricTensor, x: np.ndarray):
+    # newton_refine before the sign rule: (x, F(x))
+    n, m = F.n, F.m
+    # H = F x^(m-2) is x^(x)(m-2) times the n**(m-2) x n**2 unfolding
+    t = F.to_dense().reshape(n ** (m - 2), n * n)
+
+    def contract(x):
+        power = x
+        for _ in range(m - 3):
+            power = np.multiply.outer(power, x).ravel()
+        H = (power @ t).reshape(n, n) if m > 2 else t.reshape(n, n)
+        g = H @ x
+        return (m - 1) * H, g, float(g @ x)
+
+    (x,), value = _sphere_newton([np.asarray(x, dtype=float)], contract)
+    return x, value
+
+
+def _top_eigenvector(M: np.ndarray) -> np.ndarray:
+    return np.linalg.eigh(0.5 * (M + M.T))[1][:, -1]
+
+
+def polish_biquadratic(G: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Polish (x, y) toward a KKT point of g(x, y, x, y) over unit x and y.
+
+    POLISH_SWEEPS alternating sweeps (x the top eigenvector of
+    A(y) = G(., y, ., y), then y that of B(x) = G(x, ., x, .)), then
+    Newton steps on the two spheres for A(y) x = lambda x,
+    B(x) y = lambda y, with the Riemannian Hessian built from
+    [[A, 2E], [2E^T, B]], E = G(., ., x, y).  Neither stage lowers the
+    form.  Returns (x, y, lambda), lambda = x^T A(y) x.
+    """
+    n, m = G.shape[0], G.shape[1]
+    Gm = np.reshape(G, (n * m, n * m))
+    # A(y) = Gx vec(y y^T) and B(x) = vec(x x^T) Gx, as n x n and m x m
+    Gx = np.transpose(G, (0, 2, 1, 3)).reshape(n * n, m * m)
+    for _ in range(POLISH_SWEEPS):
+        x = _top_eigenvector((Gx @ np.outer(y, y).ravel()).reshape(n, n))
+        y = _top_eigenvector((np.outer(x, x).ravel() @ Gx).reshape(m, m))
+    H = np.zeros((n + m, n + m))
+
+    def contract(z):
+        # fills H in place: `_sphere_newton` reads H only before its next
+        # contract call
+        x, y = z[:n], z[n:]
+        H[:n, :n] = A = (Gx @ np.outer(y, y).ravel()).reshape(n, n)
+        H[n:, n:] = B = (np.outer(x, x).ravel() @ Gx).reshape(m, m)
+        H[:n, n:] = E = 2.0 * (Gm @ np.outer(x, y).ravel()).reshape(n, m)
+        H[n:, :n] = E.T
+        Ax = A @ x
+        return H, np.concatenate([Ax, B @ y]), float(x @ Ax)
+
+    (x, y), value = _sphere_newton([x, y], contract)
+    return x, y, value
 
 
 def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
@@ -423,7 +668,8 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
     Y0 = np.zeros(w.shape)
     Y0[k, k] = 1.0
     C = matr(F)[np.ix_(rep, rep)] * w
-    return Relaxation(C, lambda M: project_moment_C(M, n, d), Y0, (n, d))
+    return Relaxation(C, lambda M: project_moment_C(M, n, d), Y0, (n, d),
+                      normal=lambda u: moment_normal(u, n, d))
 
 
 def _read_out(F: SuperSymmetricTensor, v: np.ndarray) -> np.ndarray:
@@ -444,8 +690,11 @@ def _solve_symmetric(F: SuperSymmetricTensor, method: str, cfg: SolverConfig,
     value = None
     if stop_on_gap:
         def value(X):
+            # the read-out x polished by Newton steps, F(x), and its
+            # moment vector
             v = lift_moment(_rank_one_eig(X)[3], *problem.moment)
-            return eval_homogeneous(F, _read_out(F, v))
+            x, form = _newton_symmetric(F, _read_out(F, v))
+            return form, moment_point(x, *problem.moment)
     return _recover_symmetric(F, solve(problem, method, cfg, value))
 
 
@@ -453,8 +702,9 @@ def solve_nnp(F: SuperSymmetricTensor, cfg: SolverConfig = None, *,
               stop_on_gap: bool = False) -> SolveReport:
     """Maximize tr(FX) - rho*||X||_* over the trace-one symmetric set.
 
-    With stop_on_gap the ADMM also stops once F at the read-out x closes
-    the gap to the dual bound (termination "gap"); the pipeline sets it.
+    With stop_on_gap the ADMM also stops once F at the polished read-out x
+    closes the gap to the dual bound corrected at x (termination "gap");
+    the pipeline sets it.
     """
     return _solve_symmetric(F, "nnp", cfg or SolverConfig(), stop_on_gap)
 

@@ -16,14 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import Relaxation, SolverConfig, _block_eig, certifies, solve
+from .admm import (Relaxation, SolverConfig, _block_eig, _top_eigenvector,
+                   certifies, polish_biquadratic, solve)
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import (MultilinearComponent, PrincipalComponent,
                          _ascend_with_restarts, solve_even_order)
 from .matricize import (_leading_factors, _rank_one_eig, matr_partial,
                         partial_symmetrize)
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
-from .projection import partial_block_gathers, project_partial_C, stack_blocks
+from .projection import (partial_block_gathers, partial_normal,
+                         project_partial_C, stack_blocks)
 from .projection import project_psd  # noqa: F401  lookup site in benchmarks/tracer.py
 from .tensors import (SuperSymmetricTensor, _canonical_sign, _finite_array,
                       _fix_last_sign, _fix_sign, _unit, eval_homogeneous,
@@ -72,18 +74,16 @@ def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
     With one block fixed the form is a quadratic in the other whose matrix
     is symmetric by partial symmetry, so each update is a leading
     eigenvector and the objective never decreases.  The restarts are
-    skipped when the ascent from (x0, y0) closes the gap to `bound`.
+    skipped when the ascent from (x0, y0) closes the gap to `bound`.  The
+    fallback of an uncertified solve: a certified one is polished by
+    `admm.polish_biquadratic`.
     """
     def ascend(x, y):
         value = biquadratic_form(g, x, y)
         for _ in range(max_sweeps):
             previous = value
-            Mx = np.einsum("ijkl,j,l->ik", g, y, y)
-            w, V = np.linalg.eigh(0.5 * (Mx + Mx.T))
-            x = V[:, -1]
-            My = np.einsum("ijkl,i,k->jl", g, x, x)
-            w, V = np.linalg.eigh(0.5 * (My + My.T))
-            y = V[:, -1]
+            x = _top_eigenvector(np.einsum("ijkl,j,l->ik", g, y, y))
+            y = _top_eigenvector(np.einsum("ijkl,i,k->jl", g, x, x))
             value = biquadratic_form(g, x, y)
             if abs(value - previous) <= tol * abs(previous):
                 break
@@ -102,14 +102,16 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     nuclear-norm penalty for "nnp", solved by the same splitting loop as
     the symmetric case.  A rank-one solution factors as
     vec(x y^T) vec(x y^T)^T; the SVD of the reshaped leading eigenvector
-    splits it into the two unit blocks.  Solutions that miss the rank-one
-    certificate fall back to alternating eigenvector ascent, and the
-    component is certified when its value closes the gap to the solve's
-    bound (`admm.certifies`).
+    splits it into the two unit blocks.  A read-out the rank-one
+    certificate does not cover is polished (`admm.polish_biquadratic`),
+    and the component is certified when its value closes the gap to the
+    solve's bound (`admm.certifies`); only a value that does not falls
+    back to alternating eigenvector ascent with restarts.
 
-    With stop_on_gap the ADMM also stops once the form at the read-out
-    (x, y) closes the gap to the dual bound (termination "gap"), and the
-    ascent from that read-out polishes it; the pipeline routes set it.
+    With stop_on_gap the ADMM also stops once the form at the polished
+    read-out (x, y) closes the gap to the dual bound corrected at
+    vec(x y^T) (termination "gap"), and returns that (x, y); the pipeline
+    routes set it.
     odd_rows is a boolean mask over the n*m rows (row i*m + j) that a sign
     flip D of x and y fixing the form negates (ValueError for another
     shape or dtype, or when the form is not fixed by such a flip).  Every
@@ -120,16 +122,18 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     iteration; each block of a solution is rank one, which the report
     certifies block by block, and the read-out takes z = sqrt(l_even)
     u_even + sqrt(l_odd) u_odd from the top eigenpair of each block, at the
-    gap checks and at the end.  Either sign of u_odd gives an optimum.  A
-    mask with one sign declares no flip and solves as without it.
+    gap checks and at the end.  Either sign of u_odd gives an optimum.  Its
+    checks compare the unpolished read-out with the uncorrected bound, and
+    the stopped read-out is polished once.  A mask with one sign declares
+    no flip and solves as without it.
 
     Returns
     -------
     (component, report)
         BiquadraticComponent and the solver report; the report's
-        extracted_x is the leading eigenvector of X (length n*m), or the
-        blocks' read-out z, its X the N x N matrix, and its
-        extracted_lambda the component's value.
+        extracted_x is the leading eigenvector of X (length n*m), the
+        blocks' read-out z, or the polished vec(x y^T) of a gap stop, its X
+        the N x N matrix, and its extracted_lambda the component's value.
     """
     cfg = cfg or SolverConfig()
     G = _finite_array(G)
@@ -152,7 +156,8 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     Y0 = np.zeros_like(Gm)
     Y0[p, p] = 1.0
     if blocks is None:
-        problem = Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0)
+        problem = Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0,
+                             normal=lambda u: partial_normal(u, n, m))
     else:
         gathers = partial_block_gathers(n, m, blocks)
         problem = Relaxation(
@@ -161,17 +166,30 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
             stack_blocks(Y0, blocks), blocks=blocks)
 
     value = None
-    if stop_on_gap:
+    if stop_on_gap and blocks is None:
         def value(X):
-            # the form at (x, y) read from X's leading eigenvector, or from
-            # the top eigenpairs of its blocks
-            v = _rank_one_eig(X)[3] if blocks is None else _block_eig(X, blocks)[2]
-            return biquadratic_form(G, *_leading_factors(v, n))
+            # the form at (x, y) read from X's leading eigenvector and
+            # polished, and the rank-one point vec(x y^T)
+            x, y = _leading_factors(_rank_one_eig(X)[3], n)
+            x, y, form = polish_biquadratic(G, x, y)
+            return form, np.outer(x, y).ravel()
+    elif stop_on_gap:
+        def value(X):
+            # the form at (x, y) read from the top eigenpairs of X's blocks,
+            # as u^T matr_partial(G) u at u = vec(x y^T)
+            u = np.outer(*_leading_factors(_block_eig(X, blocks)[2], n)).ravel()
+            return float(u @ Gm @ u), None
 
     report = solve(problem, method, cfg, value)
     x, y = _leading_factors(report.extracted_x, n)
-    if not report.certified:
-        x, y = _mbi_biquadratic(G, x, y, cfg.seed, report.bound, cfg.rank_tol)
+    polished = report.termination == "gap" and blocks is None
+    if not (report.certified or polished):
+        x, y, _ = polish_biquadratic(G, x, y)
+        if not certifies(replace(report,
+                                 extracted_lambda=biquadratic_form(G, x, y)),
+                         cfg.rank_tol):
+            x, y = _mbi_biquadratic(G, x, y, cfg.seed, report.bound,
+                                    cfg.rank_tol)
     # the form is even in x and in y: every sign is a tie
     x, y = _canonical_sign(x), _canonical_sign(y)
     report = replace(report, extracted_lambda=biquadratic_form(G, x, y))

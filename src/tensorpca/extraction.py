@@ -1,7 +1,8 @@
 """Turning a solve into a tensor principal component.
 
-Reads the certificate of a solve, polishes a value the duality gap
-certifies by Newton steps, refines solutions that miss the certificate by
+Reads the certificate of a solve, polishes a converged value the duality
+gap certifies by `admm.newton_refine` (a gap stop's value is polished
+already), refines solutions that miss the certificate by
 block-coordinate ascent, deflates, and runs the even-order step of
 `extensions.solve_leading_pc`: solve, extract, fall back.  Both fallbacks
 restart by `_ascend_with_restarts`, best of the read-out point and RESTARTS
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import admm
 from .admm import (SolveReport, SolverConfig, _recover_symmetric, _summarize,
-                   certifies, closes_gap)
+                   certifies, closes_gap, newton_refine)
 from .matricize import is_super_symmetric, matr, matr_inv
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import _moment_tables
@@ -93,9 +94,11 @@ def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.ra
     iteration cap did not stop.  A report's X is a projection output, so
     it is not checked again: an absolute trace test fails on the rounding
     of a large-norm tensor's capped iterate.  A certified solution gives
-    the x read off its leading eigenvector and lambda* = F(x); when the
-    report's rank-one certificate does not hold, the gap alone vouches for
-    that x, to about rank_tol, and `newton_refine` polishes it first.
+    the x read off its leading eigenvector and lambda* = F(x).  A gap stop
+    certified the polished read-out of its last check, which the report
+    carries, so that x is returned as it is.  A converged solve whose
+    rank-one certificate does not hold has only the gap to vouch for its
+    x, to about rank_tol, and `newton_refine` polishes it first.
     Otherwise a NotRankOne carrying the spectrum is returned.
     """
     if F.m % 2:
@@ -113,7 +116,7 @@ def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.ra
         report = _recover_symmetric(F, _summarize(X, matr(F), rank_tol))
     if not certifies(report, rank_tol):
         return NotRankOne(report.rank_one_ratio, _spectrum(report))
-    if report.certified:
+    if report.certified or report.termination == "gap":
         return PrincipalComponent(report.extracted_lambda, report.extracted_x,
                                   True, report.bound)
     x = newton_refine(F, report.extracted_x)
@@ -130,55 +133,6 @@ def _spectrum(report: SolveReport) -> np.ndarray:
     zeros = np.zeros(n ** d - len(w))
     return np.sort(np.concatenate([np.linalg.eigvalsh(report.values[pair] * w),
                                    zeros]))
-
-
-# quadratic convergence takes a gap stop's read-out, about 1e-7 below the
-# optimum, to rounding in one or two steps; later steps move by rounding
-NEWTON_STEPS = 4
-
-
-def newton_refine(F: SuperSymmetricTensor, x: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton steps on the sphere toward a Z-eigenpair of F.
-
-    x is a unit vector.  With lambda = F(x), H = F x^(m-2) (an n x n
-    matrix) and P = I - x x^T, each step solves
-    (P ((m-1) H - lambda I) P + x x^T) s = F x^(m-1) - lambda x and moves
-    to unit(x - s) (Jaffe, Weiss & Nadler, SIAM J. Matrix Anal. Appl.
-    2018).  Near a local maximum the steps converge
-    quadratically.  A step is kept only if F does not fall, and the steps
-    stop once F stops rising or after NEWTON_STEPS, so F(result) >= F(x).
-    The result is signed by the form.
-    """
-    t, m = F.to_dense(), F.m
-
-    def contract(x):
-        # H = F x^(m-2), F x^(m-1) and F(x), each contracting the leading
-        # mode as eval_homogeneous does, so F(x) is bitwise its value
-        H = t
-        for _ in range(m - 2):
-            H = np.tensordot(H, x, axes=([0], [0]))
-        g = np.tensordot(H, x, axes=([0], [0]))
-        return H, g, float(np.tensordot(g, x, axes=([0], [0])))
-
-    eye = np.eye(F.n)
-    x = np.asarray(x, dtype=float)
-    H, g, value = contract(x)
-    for _ in range(NEWTON_STEPS):
-        P = eye - np.outer(x, x)
-        A = P @ ((m - 1) * H - value * eye) @ P + np.outer(x, x)
-        try:
-            s = np.linalg.solve(A, g - value * x)
-        except np.linalg.LinAlgError:
-            break
-        candidate = _unit(x - s)
-        step = contract(candidate)
-        if not step[2] >= value:  # fell, or nan from a near-singular system
-            break
-        rising = step[2] > value
-        x, (H, g, value) = candidate, step
-        if not rising:
-            break
-    return _fix_sign(F, x)
 
 
 def _unfoldings(t, dense: np.ndarray) -> list:
@@ -304,9 +258,10 @@ def deflate(F: SuperSymmetricTensor, pc: PrincipalComponent) -> SuperSymmetricTe
 def solve_even_order(F: SuperSymmetricTensor, method: str, cfg):
     """Even-order step of solve_leading_pc: solve, extract, refine.
 
-    The solve stops on the duality gap (`stop_on_gap`): once the value read
-    out of an iterate closes the gap to the dual bound there, the report's
-    termination is "gap" and `extract` polishes that x by Newton steps.  A
+    The solve stops on the duality gap (`stop_on_gap`): once the polished
+    value read out of an iterate closes the gap to the dual bound corrected
+    at that read-out, the report's termination is "gap" and `extract`
+    returns that x.  A
     solve whose value no certificate covers falls back to block ascent from
     the extracted x plus random restarts, and the component is certified
     when that value closes the gap to the solve's bound (`admm.certifies`).

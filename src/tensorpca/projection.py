@@ -18,11 +18,17 @@ orthonormal basis B of Sym^d(R^n), K = C(n+d-1, d), whose column k is the
 indicator of d-multiset class k divided by sqrt(c_k).  `lift_moment` maps
 M to X = B M B^T, and `project_moment_C` is B^T project_C(B M B^T) B
 computed on the K^2 entries.
+
+The dual certificate of a rank-one point u u^T needs, for each affine set
+with directions L, the normal Gram matrix T(u): the matrix of
+y -> P(sym(y u^T)) u, P the orthogonal projection onto the complement of
+L.  `moment_normal` and `partial_normal` give it in closed form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -34,12 +40,15 @@ __all__ = [
     "project_C",
     "project_moment_C",
     "lift_moment",
+    "moment_point",
+    "moment_normal",
     "shrink_nuclear",
     "project_psd",
     "project_partial_C",
     "partial_block_gathers",
     "stack_blocks",
     "lift_blocks",
+    "partial_normal",
 ]
 
 
@@ -128,6 +137,71 @@ def lift_moment(M: np.ndarray, n: int, d: int) -> np.ndarray:
     if M.ndim == 1:
         return (M / root)[cid]
     return (M / w)[np.ix_(cid, cid)]
+
+
+def moment_point(x: np.ndarray, n: int, d: int) -> np.ndarray:
+    """B^T vec(x^(x)d): the rank-one feasible point of a unit x, as a K-vector.
+
+    Entry k is sqrt(c_k) times the monomial of class k, so u u^T is the
+    moment matrix of x^(x)d x^(x)d and u^T C_K u = F(x).
+    """
+    cid, _, root, _, _ = _moment_tables(n, d)
+    power = np.asarray(x, dtype=float)
+    for _ in range(d - 1):
+        power = np.multiply.outer(power, x)
+    return np.bincount(cid, weights=power.ravel(), minlength=len(root)) / root
+
+
+@lru_cache(maxsize=None)
+def _moment_normal_tables(n: int, d: int):
+    """(B, J, weights) for `moment_normal` at a given (n, d).
+
+    B is the orthonormal basis as an (n,)*d + (K,) array, J = A(I) / |A(I)|
+    the unit averaged identity in moment coordinates, and weights[j] =
+    C(d, j)^2 / C(2d, d), the share of the placements of d indices among
+    2d slots that put j of them in the last d.
+    """
+    cid, _, root, pair, w = _moment_tables(n, d)
+    B = np.zeros((n ** d, len(root)))
+    B[np.arange(n ** d), cid] = 1.0 / root[cid]
+    _, ibar, ibar_trace = _trace_classes(n, d)
+    J = ibar[pair] * w / np.sqrt(ibar_trace)
+    weights = np.array([comb(d, j) ** 2 for j in range(d + 1)]) / comb(2 * d, d)
+    tables = (B.reshape((n,) * d + (len(root),)), J, weights)
+    for table in tables:
+        table.setflags(write=False)  # cached: shared by every caller
+    return tables
+
+
+def moment_normal(u: np.ndarray, n: int, d: int) -> np.ndarray:
+    """T(u) for the moment set at u = B^T vec(x^(x)d), x a unit vector.
+
+    The matrix of y -> P(sym(y u^T)) u, with P(M) = M - A(M) + <M, J> J
+    for the class average A and the unit averaged identity J (the
+    complement of L is the complement of the symmetric set plus the line
+    of J).  Averaging a (x) x^(x)d over the placements of a's d indices
+    among 2d slots, then contracting the last d slots with x, leaves
+    sum_j weights[j] (a x^j) (x) x^(x)j, j the slots of a among the last
+    d.  So A(sym(y u^T)) u = sum_j weights[j] R_j^T R_j y with R_j = B
+    contracted with x on j modes (R_0^T R_0 = I, R_d = u^T), and
+    T(u) = (I + u u^T)/2 - sum_j weights[j] R_j^T R_j + (J u)(J u)^T.
+    x x^T is read off u's lift, whose n x n**(d-1) reshape is x (x) x^(d-1).
+    """
+    B, J, weights = _moment_normal_tables(n, d)
+    K = len(u)
+    lifted = lift_moment(u, n, d).reshape(n, -1)
+    P = lifted @ lifted.T
+    i = int(np.argmax(P.diagonal()))
+    x = P[:, i] / np.sqrt(P[i, i])
+    Ju = J @ u
+    T = np.outer(Ju, Ju) + (0.5 - weights[d]) * np.outer(u, u)
+    T.flat[::K + 1] += 0.5 - weights[0]
+    R = B
+    for j in range(1, d):
+        R = x @ R.reshape(n, -1)  # one more mode contracted with x
+        R = R.reshape(-1, K)
+        T -= weights[j] * (R.T @ R)
+    return T
 
 
 def project_moment_C(M: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -265,3 +339,19 @@ def project_partial_C(Z: np.ndarray, n: int, m: int,
     X = partial_symmetrize(Z.reshape(n, m, n, m)).reshape(size, size)
     X.flat[::size + 1] += (1.0 - float(np.trace(X))) / size
     return X
+
+
+def partial_normal(u: np.ndarray, n: int, m: int) -> np.ndarray:
+    """T(u) for the partial-symmetric set at u = vec(a b^T), unit a and b.
+
+    The nm x nm matrix of y -> P(sym(y u^T)) u with P(M) = M -
+    partial_symmetrize(M) + tr(M) I / nm.  On vec(Y) the partial average
+    of sym(y u^T), applied to u, is (Y + (a^T Y b) a b^T + a a^T Y + Y b
+    b^T)/4, so T(u) = (I + u u^T)/4 - (a a^T (x) I + I (x) b b^T)/4 +
+    u u^T / nm.  It vanishes on vec(a v^T) and vec(w b^T), v and w
+    orthogonal to b and a: the tangent directions of the rank-one points.
+    """
+    U = np.reshape(u, (n, m))
+    return (0.25 * (np.eye(n * m) + np.outer(u, u))
+            - 0.25 * (np.kron(U @ U.T, np.eye(m)) + np.kron(np.eye(n), U.T @ U))
+            + np.outer(u, u) / (n * m))

@@ -18,8 +18,9 @@ from tensorpca import (SolverConfig, eval_homogeneous, multistart_local,
                        random_gaussian, random_partial_symmetric,
                        solve_biquadratic, solve_leading_pc, solve_nnp,
                        solve_sdp, symmetrize)
-from tensorpca import extensions, extraction
+from tensorpca import admm, extensions, extraction
 from tensorpca.admm import certifies
+from tensorpca.matricize import _leading_factors
 from tensorpca.extraction import RESTARTS
 
 
@@ -140,36 +141,64 @@ def tied_quartic_fallback(cfg):
     return certifies(report, cfg.rank_tol), report
 
 
-def quadrilinear_pipeline(cfg):
-    comp, report = solve_leading_pc(quadrilinear(), "sdp", cfg)
-    return comp.certified, report
+def quadrilinear_fallback(cfg, calls):
+    # a certified quadri-linear solve runs no fallback, so the fallback runs
+    # here from the block solve's read-out and bound; the solve's own
+    # fallback, when it ran one, is not counted
+    dims = (3, 3, 3, 3)
+    G = extensions.quadrilinear_to_biquadratic(quadrilinear())
+    i, j = np.divmod(np.arange(36), 6)
+    _, report = solve_biquadratic(G, "sdp", cfg,
+                                  odd_rows=(i >= dims[0]) != (j >= dims[1]))
+    calls.clear()
+    x, y = extensions._mbi_biquadratic(
+        G, *_leading_factors(report.extracted_x, dims[0] + dims[2]),
+        cfg.seed, report.bound, cfg.rank_tol)
+    report = replace(report,
+                     extracted_lambda=extensions.biquadratic_form(G, x, y))
+    return certifies(report, cfg.rank_tol), report
 
 
-@pytest.mark.parametrize("run, module", [(tied_quartic_fallback, extraction),
-                                         (quadrilinear_pipeline, extensions)],
-                         ids=["tied_quartic-tensorpca.extraction",
-                              "quadrilinear-tensorpca.extensions"])
+@pytest.mark.parametrize("run, module", [
+    (lambda cfg, calls: tied_quartic_fallback(cfg), extraction),
+    (quadrilinear_fallback, extensions)],
+    ids=["tied_quartic-tensorpca.extraction",
+         "quadrilinear-tensorpca.extensions"])
 def test_fallback_stops_at_the_first_ascent_once_the_gap_closes(
         monkeypatch, run, module):
     calls = count_ascents(monkeypatch, module)
-    certified, report = run(SolverConfig())
+    certified, report = run(SolverConfig(), calls)
     assert certified and len(calls) == 1
     # one iteration leaves the gap open: the read-out start and every restart
     calls.clear()
-    certified, report = run(SolverConfig(max_iter=1))
+    certified, report = run(SolverConfig(max_iter=1), calls)
     assert report.gap > 1e-6 * abs(report.bound)
     assert not certified and len(calls) == 1 + RESTARTS
 
 
+def without_gap_stop(monkeypatch):
+    # the pipeline with its gap stop switched off, on both routes: the gap
+    # stop certifies at a corrected bound the capped iterate does not have
+    for method, solver in (("sdp", solve_sdp), ("nnp", solve_nnp)):
+        monkeypatch.setattr(admm, f"solve_{method}",
+                            lambda F, cfg, stop_on_gap, solver=solver:
+                            solver(F, cfg))
+    original = extensions.solve_biquadratic
+    monkeypatch.setattr(extensions, "solve_biquadratic",
+                        lambda G, method, cfg, stop_on_gap, **kwargs:
+                        original(G, method, cfg, **kwargs))
+
+
 @pytest.mark.parametrize("make", [tied_quartic, quadrilinear])
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
-def test_capped_solve_is_never_certified_when_its_gap_closes(make, method):
-    # a gap stop's iteration tests the cap first, so capped there the gap
-    # is closed; a converged solve is capped one iteration short, where
-    # the bound is already tight
+def test_capped_solve_is_never_certified_when_its_gap_closes(monkeypatch,
+                                                             make, method):
+    # run to convergence and capped one iteration short, where the bound
+    # is already tight
+    without_gap_stop(monkeypatch)
     _, converged = solve_leading_pc(make(), method)
-    cfg = SolverConfig(max_iter=converged.iterations
-                       - (converged.termination == "converged"))
+    assert converged.termination == "converged"
+    cfg = SolverConfig(max_iter=converged.iterations - 1)
     comp, report = solve_leading_pc(make(), method, cfg)
     assert report.termination == "iter_cap"
     assert report.gap <= 1e-6 * abs(report.bound)

@@ -1,11 +1,11 @@
 """The symmetric pipeline stops its ADMM once the duality gap closes.
 
-`solve_leading_pc` asks `solve_sdp`/`solve_nnp` for `stop_on_gap`: from
-rel + primal <= GAP_CHECK_START, and each time that sum halves, the value
-read out of the iterate is compared with the dual bound there, and the
-solve stops once it closes the gap.  `extract` then polishes the read-out
-by safeguarded Newton steps.  Direct solver calls keep running to
-convergence.
+`solve_leading_pc` asks `solve_sdp`/`solve_nnp` for `stop_on_gap`: at the
+iterations EARLY_CHECKS lists, from rel + primal <= GAP_CHECK_START, and
+each time that sum halves, the read-out of the iterate is polished by
+safeguarded Newton steps and compared with the dual bound corrected at
+it, and the solve stops once it closes the gap.  `extract` returns that
+polished read-out.  Direct solver calls keep running to convergence.
 """
 
 import math
@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from tensorpca import (SolverConfig, eval_homogeneous, random_gaussian,
                        solve_leading_pc, solve_nnp, solve_sdp)
 from tensorpca import admm
-from tensorpca.admm import GAP_CHECK_START, _symmetric_relaxation, solve
+from tensorpca.admm import (EARLY_CHECKS, GAP_CHECK_START,
+                            _symmetric_relaxation, solve)
 from tensorpca.extraction import newton_refine
 
 SOLVERS = {"sdp": solve_sdp, "nnp": solve_nnp}
@@ -72,7 +73,7 @@ def test_direct_solves_are_bitwise_unchanged_by_the_gap_check(n, m, seed,
 
     def never(X):
         checks.append(X)
-        return -math.inf
+        return -math.inf, None
 
     checked = solve(_symmetric_relaxation(F), method, cfg, never)
     direct = SOLVERS[method](F, cfg)
@@ -106,14 +107,20 @@ def test_newton_refinement_never_lowers_the_form(case):
 
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
 def test_newton_refinement_reaches_the_converged_value(method):
-    # a gap stop's read-out is about 1e-7 below the optimum; the polished
-    # value matches the converged rank-one read-out to rounding
+    # the gap stop's value, polished at its last check, matches the
+    # converged rank-one read-out to rounding.  Capped at that iteration
+    # (no check runs at the cap) the solve reports the unpolished read-out
+    # of the same iterate, below the optimum, and its polish matches too
     F = random_gaussian(6, 4, 2)
     stopped = SOLVERS[method](F, stop_on_gap=True)
     converged = SOLVERS[method](F)
     assert stopped.termination == "gap" and converged.certified
-    assert stopped.extracted_lambda < converged.extracted_lambda - 1e-12
-    value = eval_homogeneous(F, newton_refine(F, stopped.extracted_x))
+    assert stopped.extracted_lambda == pytest.approx(
+        converged.extracted_lambda, rel=1e-13)
+    early = SOLVERS[method](F, SolverConfig(max_iter=stopped.iterations))
+    assert early.termination == "iter_cap"
+    assert early.extracted_lambda < converged.extracted_lambda - 1e-12
+    value = eval_homogeneous(F, newton_refine(F, early.extracted_x))
     assert value == pytest.approx(converged.extracted_lambda, rel=1e-13)
 
 
@@ -129,7 +136,8 @@ def test_gap_checks_are_spaced_by_halving(monkeypatch, method, tol):
 
     monkeypatch.setattr(admm, "_read_out", spy)
     cfg = SolverConfig(tol=tol)
-    limit = math.ceil(math.log2(GAP_CHECK_START / tol)) + 1
+    halvings = math.ceil(math.log2(GAP_CHECK_START / tol))
+    limit = len(EARLY_CHECKS) + halvings + 1
     for F in (random_gaussian(6, 4, 0), random_gaussian(4, 6, 1)):
         calls.clear()
         solve_leading_pc(F, method, cfg)
@@ -138,9 +146,10 @@ def test_gap_checks_are_spaced_by_halving(monkeypatch, method, tol):
         calls.clear()
         SOLVERS[method](F, cfg)
         assert len(calls) == 1
-        # a check that never closes the gap runs at every halving down to tol
+        # a check that never closes the gap runs at each early iteration
+        # the solve reaches and at every halving down to tol
         checks = []
-        solve(_symmetric_relaxation(F), method, cfg,
-              lambda X: checks.append(X) or -math.inf)
-        assert len(checks) <= limit - 1
-        assert checks or tol >= GAP_CHECK_START
+        report = solve(_symmetric_relaxation(F), method, cfg,
+                       lambda X: (checks.append(X) or -math.inf, None))
+        early = sum(k < report.iterations for k in EARLY_CHECKS)
+        assert early <= len(checks) <= limit - 1
