@@ -41,14 +41,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .matricize import _leading_factors, _rank_one_eig, matr
+from .matricize import _leading_factors, _rank_one_eig
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import (_moment_tables, lift_blocks, lift_moment,
                          moment_class_values, moment_normal, moment_point,
                          project_moment_C)
 from .projection import project_C  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import project_psd, shrink_nuclear
-from .tensors import (SuperSymmetricTensor, _class_table, _fix_sign, _unit,
+from .tensors import (SuperSymmetricTensor, _class_map, _fix_sign, _unit,
                       eval_homogeneous)
 
 __all__ = [
@@ -153,8 +153,7 @@ class SolveReport:
         if self.moment is None:
             return self.values
         n, d = self.moment
-        _, class_id, _ = _class_table(n, 2 * d)
-        return self.values[class_id].reshape(n ** d, n ** d)
+        return self.values[_class_map(n, 2 * d)].reshape(n ** d, n ** d)
 
     @property
     def gap(self) -> float:
@@ -659,15 +658,16 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
     if F.m % 2:
         raise ValueError("solvers need an even order; square odd orders first")
     n, d = F.n, F.m // 2
-    # in moment coordinates: C_K = B^T matr(F) B, read off one row and
-    # column per class, and the feasible rank-one start e_k e_k^T at the
-    # class k of the best coordinate direction, (best,)*d, alone in it
-    cid, rep, _, _, w = _moment_tables(n, d)
+    # in moment coordinates: C_K = B^T matr(F) B, whose entry (k, l) is F's
+    # value at the class pair[k, l] times w[k, l], and the feasible rank-one
+    # start e_k e_k^T at the class k of the best coordinate direction,
+    # (best,)*d, alone in it
+    cid, _, _, pair, w = _moment_tables(n, d)
     best = max(range(n), key=lambda i: F[(i,) * F.m])
     k = cid[np.ravel_multi_index((best,) * d, (n,) * d)]
     Y0 = np.zeros(w.shape)
     Y0[k, k] = 1.0
-    C = matr(F)[np.ix_(rep, rep)] * w
+    C = F._class_values()[pair] * w
     return Relaxation(C, lambda M: project_moment_C(M, n, d), Y0, (n, d),
                       normal=lambda u: moment_normal(u, n, d))
 

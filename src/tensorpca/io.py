@@ -69,6 +69,11 @@ def _expect(lines, field: str):
     return number, tokens[1:]
 
 
+def _is_ascii_count(token: str) -> bool:
+    # str.isdigit alone passes digits int() refuses, such as superscripts
+    return token.isascii() and token.isdigit()
+
+
 def _dims_problem(kind: str, dims: Tuple[int, ...]) -> str:
     # the dims rule both directions enforce; "" when dims are fine
     if not dims or any(d < 1 for d in dims):
@@ -88,7 +93,7 @@ def read_tensor(path) -> LoadedTensor:
     lines = _meaningful_lines(text)
 
     number, rest = _expect(lines, "tensorfile")
-    if len(rest) != 1 or not rest[0].isdigit():
+    if len(rest) != 1 or not _is_ascii_count(rest[0]):
         raise TensorFileError("expected 'tensorfile <version>'", number)
     if int(rest[0]) != FORMAT_VERSION:
         raise TensorFileError(f"unsupported format version {rest[0]}", number)
@@ -108,7 +113,7 @@ def read_tensor(path) -> LoadedTensor:
         raise TensorFileError(problem, number)
 
     number, rest = _expect(lines, "entries")
-    if len(rest) != 1 or not rest[0].isdigit():
+    if len(rest) != 1 or not _is_ascii_count(rest[0]):
         raise TensorFileError("expected 'entries <count>'", number)
     count = int(rest[0])
 

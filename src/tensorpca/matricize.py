@@ -7,7 +7,7 @@ plain C-order reshapes, which the tests cross-check against the explicit
 index formulas.
 
 Each symmetry is averaged in one place: over permutation classes with
-`tensors._class_table` (as `tensors.symmetrize` and `is_super_symmetric`
+`tensors._class_map` (as `tensors.symmetrize` and `is_super_symmetric`
 do), and over the swaps of modes (0, 2) and (1, 3) with
 `partial_symmetrize`, next to `is_partial_symmetric` and `matr_partial`.
 The trace-one projections in `projection` average with these.
@@ -19,7 +19,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .tensors import SuperSymmetricTensor, _canonical_sign, _class_table, _unit
+from .tensors import (SuperSymmetricTensor, _canonical_sign, _class_keys,
+                      _class_map, _unit)
 
 __all__ = [
     "matr",
@@ -87,9 +88,10 @@ def is_super_symmetric(t: np.ndarray, tol: float = 1e-12):
     if len(set(t.shape)) != 1:
         raise ValueError(f"cubical array required, got shape {t.shape}")
     n, m = t.shape[0], t.ndim
-    keys, class_id, counts = _class_table(n, m)
+    _, counts = _class_keys(n, m)
+    class_id = _class_map(n, m)
     flat = t.ravel()
-    means = np.bincount(class_id, weights=flat, minlength=len(keys)) / counts
+    means = np.bincount(class_id, weights=flat, minlength=len(counts)) / counts
     violation = float(np.max(np.abs(flat - means[class_id])))
     return violation <= tol, violation
 

@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .matricize import partial_symmetrize
-from .tensors import _class_table, multinomial
+from .tensors import _class_keys, _class_map, _class_of, multinomial
 
 __all__ = [
     "alpha",
@@ -68,11 +68,19 @@ def _trace_classes(n: int, d: int):
     diag[c] counts the diagonal positions of the n**d x n**d matrix in
     class c, and ibar = diag/counts is the identity averaged over each
     class: matr(identity_power(n, d)), alpha(k, d) on the even-diagonal
-    classes and zero elsewhere.
+    classes and zero elsewhere.  Built from class keys: the diagonal
+    position of row x is in the class of x doubled, pair[k, k] for the
+    d-class k of x, so diag[pair[k, k]] = c_k, which is the multinomial
+    d!/prod (mult/2)! of a class whose multiplicities mult are all even,
+    and every other class has diag 0.
     """
-    keys, class_id, counts = _class_table(n, 2 * d)
-    diag = np.bincount(class_id[::n ** d + 1], minlength=len(keys)).astype(float)
+    _, counts = _class_keys(n, 2 * d)
+    _, _, _, pair, _ = _moment_tables(n, d)
+    diag = np.zeros(len(counts))
+    diag[pair.diagonal()] = _class_keys(n, d)[1]
     ibar = diag / counts
+    for table in (diag, ibar):
+        table.setflags(write=False)  # cached: shared by every caller
     return diag, ibar, float(diag @ ibar)
 
 
@@ -87,8 +95,9 @@ def project_C(Z: np.ndarray, n: int, d: int) -> np.ndarray:
     size = n ** d
     if Z.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got {Z.shape}")
-    keys, class_id, counts = _class_table(n, 2 * d)
-    zbar = np.bincount(class_id, weights=Z.ravel(), minlength=len(keys)) / counts
+    _, counts = _class_keys(n, 2 * d)
+    class_id = _class_map(n, 2 * d)
+    zbar = np.bincount(class_id, weights=Z.ravel(), minlength=len(counts)) / counts
     diag, ibar, ibar_trace = _trace_classes(n, d)
     xvals = zbar + (1.0 - float(diag @ zbar)) / ibar_trace * ibar
     return xvals[class_id].reshape(size, size)
@@ -98,20 +107,25 @@ def project_C(Z: np.ndarray, n: int, d: int) -> np.ndarray:
 def _moment_tables(n: int, d: int):
     """(cid, rep, root, pair, w): the moment basis at a given (n, d).
 
-    cid maps each of the n**d rows to its d-multiset class, rep[k] is the
-    first row of class k, root[k] = sqrt(c_k), pair[k, l] is the 2d-class
-    of the union of classes k and l, and w = outer(root, root).
+    cid maps each of the n**d rows to its d-multiset class (the (n, d)
+    dense class map), rep[k] is the first row of class k, the row-major
+    position of its sorted key, root[k] = sqrt(c_k), pair[k, l] is the
+    2d-class of the union of classes k and l, and w = outer(root, root).
+    Classes are in the lexicographic key order of `tensors._class_keys`,
+    and pair ranks the K^2 merged keys directly, so no n**(2d) table is
+    built.
     """
-    _, cid, counts = _class_table(n, d)
-    rep = np.unique(cid, return_index=True)[1]
-    _, class_id, _ = _class_table(n, 2 * d)
-    size = n ** d
-    pair = class_id.reshape(size, size)[np.ix_(rep, rep)]
+    keys, counts = _class_keys(n, d)
+    a = np.array(keys).T
+    rep = np.ravel_multi_index(a, (n,) * d)
+    merged = np.concatenate(np.broadcast_arrays(a[:, :, None], a[:, None, :]))
+    merged.sort(axis=0)
+    pair = _class_of(merged, n)
     root = np.sqrt(counts)
     tables = (rep, root, pair, np.outer(root, root))
     for table in tables:
         table.setflags(write=False)  # cached: shared by every caller
-    return (cid, *tables)
+    return (_class_map(n, d), *tables)
 
 
 def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -125,7 +139,7 @@ def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
     _, _, _, pair, w = _moment_tables(n, d)
     if M.shape != w.shape:
         raise ValueError(f"expected a {len(w)}x{len(w)} matrix, got {M.shape}")
-    _, _, counts = _class_table(n, 2 * d)
+    _, counts = _class_keys(n, 2 * d)
     return np.bincount(pair.ravel(), weights=(M * w).ravel(),
                        minlength=len(counts)) / counts
 

@@ -10,6 +10,7 @@ Indices are 0-based throughout the in-memory API.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from functools import lru_cache
@@ -37,25 +38,63 @@ Index = Tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def _class_table(n: int, m: int):
-    """Permutation-class bookkeeping for a dense (n,)*m array.
+def _class_keys(n: int, m: int):
+    """(keys, counts): the permutation classes of an (n,)*m index space.
 
-    Returns ``(keys, class_id, counts)`` where `keys` lists the canonical
-    (sorted) index tuples in lexicographic order, `class_id` maps every
-    row-major flat index to its position in `keys`, and `counts[c]` is the
-    number of distinct permutations in class c.
+    `keys` lists the canonical (sorted) index tuples in lexicographic
+    order, as `itertools.combinations_with_replacement` yields them, and
+    `counts[c]` is the number of distinct permutations of keys[c], the
+    multinomial m!/prod(mult!).  Both have C(n+m-1, m) entries, so a caller
+    that reads no dense array needs only these: `rank_one`, `_class_lookup`
+    and the moment tables of `projection`.
     """
-    grids = np.indices((n,) * m).reshape(m, -1)
-    canon = np.sort(grids, axis=0).T
-    uniq, class_id = np.unique(canon, axis=0, return_inverse=True)
-    keys = [tuple(int(i) for i in row) for row in uniq]
-    counts = np.bincount(class_id.ravel(), minlength=len(keys))
-    return keys, class_id.ravel(), counts
+    keys = list(itertools.combinations_with_replacement(range(n), m))
+    a = np.array(keys).T
+    # each prefix's multinomial is an integer, so the products stay exact
+    counts = run = np.ones(len(keys), dtype=np.intp)
+    for j in range(1, m):
+        run = np.where(a[j] == a[j - 1], run + 1, 1)
+        counts = counts * (j + 1) // run
+    counts.setflags(write=False)  # cached: shared by every caller
+    return keys, counts
+
+
+def _class_of(a: np.ndarray, n: int) -> np.ndarray:
+    """Position in `_class_keys` order of each sorted index tuple in `a`.
+
+    The tuples run along axis 0, a_0 <= ... <= a_{m-1} < n.  Lexicographic
+    order is the reverse colex order of the mirror b_j = n-1-a_{m-1-j},
+    and the colex rank of a sorted b is sum_j C(b_j + j, j + 1), the
+    combinatorial number system on the strictly increasing b_j + j (Knuth,
+    TAOCP 4A, 7.2.1.3): m table lookups per tuple, no sort of the tuples.
+    """
+    m = len(a)
+    rank = np.full(a.shape[1:], math.comb(n + m - 1, m) - 1, dtype=np.intp)
+    for j in range(m):
+        rank -= np.array([math.comb(n - 1 - v + j, j + 1)
+                          for v in range(n)])[a[m - 1 - j]]
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _class_map(n: int, m: int) -> np.ndarray:
+    """Class of every row-major flat index of a dense (n,)*m array.
+
+    An n**m table, so only the dense paths build it: dense input
+    (`symmetrize`, hence `random_gaussian`, `random_uniform` and
+    `identity_power`), `SuperSymmetricTensor.to_dense`, `SolveReport.X`
+    and the reference paths (`matr`, `project_C`, `is_super_symmetric`).
+    """
+    a = np.indices((n,) * m, dtype=np.min_scalar_type(n - 1)).reshape(m, -1)
+    a.sort(axis=0)
+    # cached and shared, yet left writable: np.bincount copies a read-only
+    # index array, an n**m copy in every dense average
+    return _class_of(a, n)
 
 
 @lru_cache(maxsize=None)
 def _class_lookup(n: int, m: int) -> Mapping[Index, int]:
-    keys, _, _ = _class_table(n, m)
+    keys, _ = _class_keys(n, m)
     return {key: c for c, key in enumerate(keys)}
 
 
@@ -123,7 +162,7 @@ class SuperSymmetricTensor:
         the same class, or a nan or inf value, is an error.
     """
 
-    __slots__ = ("n", "m", "_values", "_dense")
+    __slots__ = ("n", "m", "_values", "_dense", "_classes")
 
     def __init__(self, n: int, m: int,
                  values: Union[Mapping, Iterable, None] = None):
@@ -145,7 +184,7 @@ class SuperSymmetricTensor:
                 if not math.isfinite(stored[key]):
                     raise ValueError(f"entry {key} is not finite: {stored[key]}")
         self._values = stored
-        self._dense = None
+        self._dense = self._classes = None
 
     def __getitem__(self, idx) -> float:
         key = canonical_index(idx, self.n)
@@ -164,14 +203,23 @@ class SuperSymmetricTensor:
     def to_dense(self) -> np.ndarray:
         """Dense (n,)*m array; computed once and cached."""
         if self._dense is None:
-            keys, class_id, _ = _class_table(self.n, self.m)
-            lookup = _class_lookup(self.n, self.m)
-            class_values = np.zeros(len(keys))
-            for key, v in self._values.items():
-                class_values[lookup[key]] = v
-            self._dense = class_values[class_id].reshape((self.n,) * self.m)
+            class_id = _class_map(self.n, self.m)
+            self._dense = self._class_values()[class_id].reshape((self.n,) * self.m)
             self._dense.setflags(write=False)
         return self._dense
+
+    def _class_values(self) -> np.ndarray:
+        # one value per class in `_class_keys` order, 0 where none is
+        # stored; computed once and cached, like the dense array, and
+        # published only when complete, since instances are shared
+        if self._classes is None:
+            lookup = _class_lookup(self.n, self.m)
+            values = np.zeros(len(lookup))
+            for key, v in self._values.items():
+                values[lookup[key]] = v
+            values.setflags(write=False)
+            self._classes = values
+        return self._classes
 
     def norm(self) -> float:
         """Frobenius norm over the full index space."""
@@ -222,14 +270,17 @@ def symmetrize(t: np.ndarray) -> SuperSymmetricTensor:
     This is the orthogonal projection onto the symmetric subspace, computed
     with exact class multiplicities rather than by enumerating all m!
     permutations.  Idempotent: symmetrizing an already-symmetric array
-    reproduces its values.
+    reproduces its values.  Dense input, so it reads the n**m class map
+    `_class_map` (one rank per index tuple, no sort of the tuples) and
+    stores the means in the lexicographic key order of `_class_keys`.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim < 1 or len(set(t.shape)) != 1:
         raise ValueError(f"cubical array required, got shape {t.shape}")
     n, m = t.shape[0], t.ndim
-    keys, class_id, counts = _class_table(n, m)
-    means = np.bincount(class_id, weights=t.ravel(), minlength=len(keys)) / counts
+    keys, counts = _class_keys(n, m)
+    means = np.bincount(_class_map(n, m), weights=t.ravel(),
+                        minlength=len(keys)) / counts
     return _with_classes(n, m, dict(zip(keys, means.tolist())))
 
 
@@ -312,7 +363,7 @@ def rank_one(lam: float, a: np.ndarray, m: int) -> SuperSymmetricTensor:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or m < 1:
         raise ValueError("need a vector and a positive order")
-    keys, _, _ = _class_table(a.size, m)
+    keys, _ = _class_keys(a.size, m)
     vals = {k: float(lam) * float(np.prod(a[list(k)])) for k in keys}
     return _with_classes(a.size, m, vals)
 
@@ -345,7 +396,10 @@ def random_gaussian(n: int, m: int, seed: int) -> SuperSymmetricTensor:
     """Symmetrization of an i.i.d. standard-normal (n,)*m array.
 
     Uses numpy's default_rng (PCG64); a fixed seed gives identical tensors
-    across calls within this implementation.
+    across calls within this implementation.  The draw and the dense class
+    map `symmetrize` reads are both n**m arrays, so the build costs O(n**m)
+    time and memory; the result keeps C(n+m-1, m) values in lexicographic
+    key order.
     """
     _check_random_shape(n, m)
     rng = np.random.default_rng(seed)

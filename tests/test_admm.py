@@ -9,7 +9,7 @@ from tensorpca import (SolverConfig, neg_eig_mass, solve_nnp, solve_sdp,
 from tensorpca.admm import (Relaxation, _recover_symmetric,
                             _symmetric_relaxation, run_admm, solve)
 from tensorpca.projection import project_psd, shrink_nuclear
-from tensorpca.tensors import _class_table
+from tensorpca.tensors import _class_keys, _class_map
 
 
 def test_config_defaults_and_validation():
@@ -179,7 +179,8 @@ def test_plain_step_in_moment_coordinates_is_the_dense_step(n, d, method):
     # iterations return the X and Y it produced: in moment coordinates
     # they are the dense ones compressed by B
     F = random_gaussian(n, 2 * d, 5)
-    _, cid, counts = _class_table(n, d)
+    _, counts = _class_keys(n, d)
+    cid = _class_map(n, d)
     B = np.zeros((n ** d, len(counts)))
     B[np.arange(n ** d), cid] = 1.0 / np.sqrt(counts[cid])
     moment = _symmetric_relaxation(F)

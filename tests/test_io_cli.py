@@ -149,6 +149,23 @@ def test_reader_reports_line_numbers(tmp_path):
     assert excinfo.value.line == 6
 
 
+@pytest.mark.parametrize("body, line, fragment", [
+    ("tensorfile \u00b9\n", 1, "tensorfile <version>"),
+    (HEADER + "entries \u00b9\n", 4, "entries <count>"),
+    (HEADER + "entries \u0661\n", 4, "entries <count>"),
+])
+def test_non_ascii_digits_name_their_line(tmp_path, capsys, body, line,
+                                          fragment):
+    # superscript and Arabic-Indic digits pass str.isdigit; int() refuses
+    # the first and reads the second
+    path = write_text(tmp_path / "bad.tensor", body)
+    with pytest.raises(TensorFileError) as excinfo:
+        read_tensor(path)
+    assert excinfo.value.line == line and fragment in str(excinfo.value)
+    assert main(["solve", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}:")
+
+
 def test_reader_checks_partial_symmetry(tmp_path):
     body = ("tensorfile 1\nkind partial_symmetric\ndims 2 2 2 2\nentries 1\n"
             "1 1 2 2 0.5\n")

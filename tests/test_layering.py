@@ -97,3 +97,20 @@ def test_no_numpy_2_transpose(module):
                            if isinstance(node, ast.ImportFrom)))
             if name in NUMPY_2_ONLY]
     assert not used, f"{module} uses a numpy 2 transpose: {used}"
+
+
+def sorts_rows(node):
+    # np.unique(..., axis=...), axis by keyword or as the fifth argument
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and (len(node.args) >= 5
+                 or any(k.arg == "axis" for k in node.keywords)))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unique_rows(module):
+    # np.unique along an axis lexsorts every row: on the n**m index tuples
+    # of a class table that is the whole setup cost at high order, where
+    # `tensors._class_of` ranks each sorted tuple by table lookups
+    used = [node.lineno for node in ast.walk(parse(module)) if sorts_rows(node)]
+    assert not used, f"{module} calls np.unique along an axis: lines {used}"

@@ -12,7 +12,7 @@ from tensorpca import (alpha, project_C, project_partial_C, shrink_nuclear,
                        project_moment_C)
 from tensorpca.projection import (_trace_classes, lift_blocks,
                                   partial_block_gathers, stack_blocks)
-from tensorpca.tensors import _class_table
+from tensorpca.tensors import _class_keys, _class_map
 
 
 def kkt_project_partial(Z, n, m):
@@ -107,10 +107,10 @@ def test_project_C_agrees_with_kkt_reference():
 def test_averaged_identity_is_identity_power(n, d):
     # spread over (n,)*2d the cached vector is the tensor of (x.x)**d, and on
     # each even-diagonal class it is the paper's alpha(k, d)
-    keys, class_id, _ = _class_table(n, 2 * d)
+    keys, _ = _class_keys(n, 2 * d)
     diag, ibar, ibar_trace = _trace_classes(n, d)
     size = n ** d
-    np.testing.assert_array_equal(ibar[class_id].reshape(size, size),
+    np.testing.assert_array_equal(ibar[_class_map(n, 2 * d)].reshape(size, size),
                                   matr(identity_power(n, d)))
     even = {}
     for k in enumerate_signatures(n, d):
@@ -160,7 +160,8 @@ def test_project_partial_C_property(case):
 
 def moment_basis(n, d):
     # dense B: column k is the indicator of d-multiset class k over sqrt(c_k)
-    _, cid, counts = _class_table(n, d)
+    _, counts = _class_keys(n, d)
+    cid = _class_map(n, d)
     B = np.zeros((n ** d, len(counts)))
     B[np.arange(n ** d), cid] = 1.0 / np.sqrt(counts[cid])
     return B
