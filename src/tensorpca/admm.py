@@ -204,7 +204,7 @@ REGULARIZATION = 1e-10
 # polished read-out (`solve`), which on a tight relaxation is the maximum
 # after a few iterations, then once relative change plus primal residual
 # is at most GAP_CHECK_START and each time that sum halves.  A check costs
-# a few iterations (a read-out, its polish and two symmetric
+# three to five iterations (a read-out, its polish and two symmetric
 # eigenproblems), so checking every iteration doubled solve times
 EARLY_CHECKS = (2, 4, 8)
 GAP_CHECK_START = 1e-2
@@ -238,9 +238,16 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
     stops when stop(X_k, mu*Lam_k) holds, asked only after both tests above
     failed (so never at the cap): at the iterations `early` lists, once
     that sum is at most GAP_CHECK_START, and again each time it falls to
-    half its value at the last call that had reached it.  Returns (X, Y,
-    iterations, rel_change, primal, stopped, mu*Lam) for the X and Y the
-    last check measured; stopped is False only when the cap ended the loop.
+    half its value at the last scheduled call that had reached it.  A
+    scheduled call is skipped when the prox returned an all-zero Y, with
+    the schedule advanced as if it had run: that is nnp's shrinkage phase,
+    before any eigenvalue of Q exceeds mu*rho, when the multiplier mu*Lam
+    = mu*C - Q is still far from a dual solution.  Every such check of the
+    symmetric route failed in measurement, and skipping a check that would
+    fail changes no iterate; a bi-quadratic solve that would have closed
+    there stops at a later check instead.  Returns (X, Y, iterations, rel_change,
+    primal, stopped, mu*Lam) for the X and Y the last check measured;
+    stopped is False only when the cap ended the loop.
     """
     mu_C = cfg.mu * C
     dG = np.zeros((MEMORY, Y0.size))  # residual differences, one per row
@@ -263,9 +270,10 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
         if stop is not None and (rel + primal <= check_at
                                  or iteration in early):
             check_at = min(check_at, 0.5 * (rel + primal))
-            mu_lam = Y - Q + mu_C
-            if stop(X, mu_lam):
-                return X, Y, iteration, rel, primal, True, mu_lam
+            if Y.any():
+                mu_lam = Y - Q + mu_C
+                if stop(X, mu_lam):
+                    return X, Y, iteration, rel, primal, True, mu_lam
         X_next = project(2.0 * Y - Q + mu_C)
         step = X_next - Y
         g = step.ravel()
@@ -318,23 +326,36 @@ def _block_eig(X: np.ndarray, blocks) -> Tuple[np.ndarray, float, np.ndarray]:
     return w, ratio, _unit(z)
 
 
-def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
-              iterations: int = 0, rel: float = 0.0, primal: float = 0.0,
-              termination: str = "converged",
-              moment: Optional[Tuple[int, int]] = None,
-              bound: float = math.nan,
-              blocks: Optional[Tuple[np.ndarray, ...]] = None) -> SolveReport:
-    # report on X from one eigendecomposition (one per block of a stack); a
-    # bare X counts as converged.  Until the caller recovers its factors,
-    # extracted_x is the leading eigenvector (lifted to length n**d from
-    # moment coordinates, which keep the nonzero spectrum), or a stack's
-    # `_block_eig` read-out, and extracted_lambda the objective.
+def _spectral_read_out(X: np.ndarray,
+                       moment: Optional[Tuple[int, int]] = None,
+                       blocks: Optional[Tuple[np.ndarray, ...]] = None):
+    # (eigenvalues, rank-one ratio, read-out) of X from one
+    # eigendecomposition (one per block of a stack).  The read-out is the
+    # leading eigenvector, lifted to length n**d from moment coordinates
+    # (which keep the nonzero spectrum), or a stack's `_block_eig` read-out
     if blocks is None:
         w, ratio, _, v = _rank_one_eig(X)
     else:
         w, ratio, v = _block_eig(X, blocks)
     if moment is not None:
         v = lift_moment(v, *moment)
+    return w, ratio, v
+
+
+def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
+              iterations: int = 0, rel: float = 0.0, primal: float = 0.0,
+              termination: str = "converged",
+              moment: Optional[Tuple[int, int]] = None,
+              bound: float = math.nan,
+              blocks: Optional[Tuple[np.ndarray, ...]] = None,
+              spectrum=None) -> SolveReport:
+    # report on X from its `_spectral_read_out`, computed here unless
+    # given; a bare X counts as converged.  Until the caller recovers its
+    # factors, extracted_x is the read-out and extracted_lambda the
+    # objective.
+    if spectrum is None:
+        spectrum = _spectral_read_out(X, moment, blocks)
+    w, ratio, v = spectrum
     objective = float(np.sum(C * X))
     if moment is not None:
         values = moment_class_values(X, *moment)
@@ -473,18 +494,23 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     tr(CX) - rho*||X||_*.  `run_admm` has the iteration.  The report's
     bound takes Z = -Lam, the last multiplier, into the module's dual bound.
 
-    `value(X)`, when given, returns (value, point): the value the route
-    reads out of an iterate, polished, and the unit u whose u u^T is the
-    feasible rank-one point of that value (None when the route has none).
-    At each of `run_admm`'s checks the bound is then min(bound at Z, bound
-    at Z + D), D the least-norm correction in L-perp that makes u an
-    eigenvector of C + S (`problem.normal`).  When u is the maximum of a
-    tight relaxation that bound is the value up to rounding, so the first
-    check whose read-out is the maximum closes the gap.  The ADMM stops,
-    with termination "gap", once closes_gap(bound, value, cfg.rank_tol)
-    holds; the report's bound is then that check's, and when u is given
-    its extracted_lambda is the value and its extracted_x u (lifted to
-    length n**d in moment coordinates).
+    `value(X, v)`, when given, returns (value, point) for an iterate X
+    and its read-out v (the leading eigenvector of X, lifted to length
+    n**d in moment coordinates, or a block stack's `_block_eig` read-out):
+    the value the route reads out of v, polished, and the unit u whose
+    u u^T is the feasible rank-one point of that value (None when the
+    route has none).  At each of `run_admm`'s checks the bound is then
+    min(bound at Z, bound at Z + D), D the least-norm correction in L-perp
+    that makes u an eigenvector of C + S (`problem.normal`).  When u is
+    the maximum of a tight relaxation that bound is the value up to
+    rounding, so the first check whose read-out is the maximum closes the
+    gap.  The ADMM stops, with termination "gap", once closes_gap(bound,
+    value, cfg.rank_tol) holds.  The report then reuses that check: its
+    bound and the eigendecomposition that gave v (one `eigh` per check and
+    none more for the report), and when u is given its extracted_lambda is
+    the value and its extracted_x u (lifted to length n**d in moment
+    coordinates).  `run_admm` skips the checks at an all-zero Y, nnp's
+    shrinkage phase.
     """
     C = problem.C
     if not C.any():
@@ -505,9 +531,10 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     stop, last = None, []
     if value is not None:
         def stop(X, mu_lam):
-            val, u = value(X)
+            spectrum = _spectral_read_out(X, problem.moment, problem.blocks)
+            val, u = value(X, spectrum[2])
             bound = _checked_bound(problem, X, -mu_lam / cfg.mu, u, zero)
-            last[:] = bound, val, u
+            last[:] = bound, val, u, spectrum
             return closes_gap(bound, val, cfg.rank_tol)
     X, _, iterations, rel, primal, stopped, mu_lam = run_admm(
         problem.project, prox, C, problem.start, cfg, stop=stop,
@@ -515,11 +542,13 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     termination = ("converged" if rel + primal <= cfg.tol
                    else "gap" if stopped else "iter_cap")
     if termination == "gap":
-        bound, val, u = last
+        bound, val, u, spectrum = last
     else:
         bound = _dual_bound(problem, X, -mu_lam / cfg.mu, zero)
+        spectrum = None
     report = _summarize(X, C, cfg.rank_tol, iterations, rel, primal,
-                        termination, problem.moment, bound, problem.blocks)
+                        termination, problem.moment, bound, problem.blocks,
+                        spectrum)
     if termination == "gap" and u is not None:
         if problem.moment is not None:
             u = lift_moment(u, *problem.moment)
@@ -687,15 +716,20 @@ def _recover_symmetric(F: SuperSymmetricTensor, report: SolveReport) -> SolveRep
 def _solve_symmetric(F: SuperSymmetricTensor, method: str, cfg: SolverConfig,
                      stop_on_gap: bool) -> SolveReport:
     problem = _symmetric_relaxation(F)
-    value = None
+    value, checked = None, []
     if stop_on_gap:
-        def value(X):
+        def value(X, v):
             # the read-out x polished by Newton steps, F(x), and its
-            # moment vector
-            v = lift_moment(_rank_one_eig(X)[3], *problem.moment)
+            # moment vector; x is kept for a gap stop's report
             x, form = _newton_symmetric(F, _read_out(F, v))
+            checked[:] = [x]
             return form, moment_point(x, *problem.moment)
-    return _recover_symmetric(F, solve(problem, method, cfg, value))
+    report = solve(problem, method, cfg, value)
+    if report.termination != "gap":
+        return _recover_symmetric(F, report)
+    # the stopping check's x, not read back out of its lifted moment vector
+    x = _fix_sign(F, checked[0])
+    return replace(report, extracted_lambda=eval_homogeneous(F, x), extracted_x=x)
 
 
 def solve_nnp(F: SuperSymmetricTensor, cfg: SolverConfig = None, *,

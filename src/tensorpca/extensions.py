@@ -16,13 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import (Relaxation, SolverConfig, _block_eig, _top_eigenvector,
-                   certifies, polish_biquadratic, solve)
+from .admm import (Relaxation, SolverConfig, _top_eigenvector, certifies,
+                   polish_biquadratic, solve)
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import (MultilinearComponent, PrincipalComponent,
                          _ascend_with_restarts, solve_even_order)
-from .matricize import (_leading_factors, _rank_one_eig, matr_partial,
-                        partial_symmetrize)
+from .matricize import _leading_factors, matr_partial, partial_symmetrize
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import (partial_block_gathers, partial_normal,
                          project_partial_C, stack_blocks)
@@ -110,8 +109,8 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
 
     With stop_on_gap the ADMM also stops once the form at the polished
     read-out (x, y) closes the gap to the dual bound corrected at
-    vec(x y^T) (termination "gap"), and returns that (x, y); the pipeline
-    routes set it.
+    vec(x y^T) (termination "gap"), and returns that check's (x, y) as
+    they are, not read back out of vec(x y^T); the pipeline routes set it.
     odd_rows is a boolean mask over the n*m rows (row i*m + j) that a sign
     flip D of x and y fixing the form negates (ValueError for another
     shape or dtype, or when the form is not fixed by such a flip).  Every
@@ -165,23 +164,28 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
             lambda Z: project_partial_C(Z, n, m, gathers),
             stack_blocks(Y0, blocks), blocks=blocks)
 
-    value = None
+    # (x, y) of the last check, which a gap stop returns
+    value, checked = None, []
     if stop_on_gap and blocks is None:
-        def value(X):
-            # the form at (x, y) read from X's leading eigenvector and
+        def value(X, v):
+            # the form at (x, y) read from X's leading eigenvector v and
             # polished, and the rank-one point vec(x y^T)
-            x, y = _leading_factors(_rank_one_eig(X)[3], n)
-            x, y, form = polish_biquadratic(G, x, y)
+            x, y, form = polish_biquadratic(G, *_leading_factors(v, n))
+            checked[:] = x, y
             return form, np.outer(x, y).ravel()
     elif stop_on_gap:
-        def value(X):
-            # the form at (x, y) read from the top eigenpairs of X's blocks,
-            # as u^T matr_partial(G) u at u = vec(x y^T)
-            u = np.outer(*_leading_factors(_block_eig(X, blocks)[2], n)).ravel()
+        def value(X, v):
+            # the form at (x, y) read from v, the top eigenpairs of X's
+            # blocks, as u^T matr_partial(G) u at u = vec(x y^T)
+            checked[:] = _leading_factors(v, n)
+            u = np.outer(*checked).ravel()
             return float(u @ Gm @ u), None
 
     report = solve(problem, method, cfg, value)
-    x, y = _leading_factors(report.extracted_x, n)
+    if report.termination == "gap":
+        x, y = checked
+    else:
+        x, y = _leading_factors(report.extracted_x, n)
     polished = report.termination == "gap" and blocks is None
     if not (report.certified or polished):
         x, y, _ = polish_biquadratic(G, x, y)

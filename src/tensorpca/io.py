@@ -70,7 +70,8 @@ def _expect(lines, field: str):
 
 
 def _is_ascii_count(token: str) -> bool:
-    # str.isdigit alone passes digits int() refuses, such as superscripts
+    # a count in ASCII digits: int() alone reads any Unicode decimal digit,
+    # and str.isdigit alone passes digits int() refuses, such as superscripts
     return token.isascii() and token.isdigit()
 
 
@@ -104,10 +105,9 @@ def read_tensor(path) -> LoadedTensor:
     kind = rest[0]
 
     number, rest = _expect(lines, "dims")
-    try:
-        dims = tuple(int(tok) for tok in rest)
-    except ValueError:
-        raise TensorFileError("dims must be integers", number)
+    if not all(_is_ascii_count(tok) for tok in rest):
+        raise TensorFileError("dims must be positive integers", number)
+    dims = tuple(int(tok) for tok in rest)
     problem = _dims_problem(kind, dims)
     if problem:
         raise TensorFileError(problem, number)
@@ -130,6 +130,10 @@ def read_tensor(path) -> LoadedTensor:
             raise TensorFileError(
                 f"expected {order} indices and a value, got {len(tokens)} fields",
                 number)
+        # int() and float() read any Unicode decimal digit; one test of the
+        # whole row keeps the per-row cost of the common ASCII file
+        if not line.isascii():
+            raise TensorFileError("entry rows must be ASCII", number)
         try:
             idx = tuple(int(tok) - 1 for tok in tokens[:order])
         except ValueError:

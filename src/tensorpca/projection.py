@@ -128,6 +128,13 @@ def _moment_tables(n: int, d: int):
     return (_class_map(n, d), *tables)
 
 
+@lru_cache(maxsize=None)
+def _flat_pair(n: int, d: int) -> np.ndarray:
+    # pair.ravel() for np.bincount, which copies a read-only index on every
+    # call: so this cached copy stays writable, and no caller writes it
+    return _moment_tables(n, d)[3].ravel().copy()
+
+
 def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
     """The class average of B M B^T: one value per 2d-class.
 
@@ -136,11 +143,11 @@ def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
     which `xvals[pair] * w` lifts to M and `xvals[class_id]` to B M B^T.
     """
     M = np.asarray(M, dtype=float)
-    _, _, _, pair, w = _moment_tables(n, d)
+    w = _moment_tables(n, d)[4]
     if M.shape != w.shape:
         raise ValueError(f"expected a {len(w)}x{len(w)} matrix, got {M.shape}")
     _, counts = _class_keys(n, 2 * d)
-    return np.bincount(pair.ravel(), weights=(M * w).ravel(),
+    return np.bincount(_flat_pair(n, d), weights=(M * w).ravel(),
                        minlength=len(counts)) / counts
 
 

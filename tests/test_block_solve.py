@@ -57,7 +57,7 @@ def one_block_solve(G, method, odd):
 
     report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
                    method, cfg,
-                   lambda X: (biquadratic_form(G, *read_out(X)), None))
+                   lambda X, v: (biquadratic_form(G, *read_out(X)), None))
     assert report.values.shape == Gm.shape and not report.certified
     x, y = _mbi_biquadratic(G, *read_out(report.values), cfg.seed,
                             report.bound, cfg.rank_tol)

@@ -4,11 +4,15 @@
 iterations EARLY_CHECKS lists, from rel + primal <= GAP_CHECK_START, and
 each time that sum halves, the read-out of the iterate is polished by
 safeguarded Newton steps and compared with the dual bound corrected at
-it, and the solve stops once it closes the gap.  `extract` returns that
-polished read-out.  Direct solver calls keep running to convergence.
+it, and the solve stops once it closes the gap.  A check whose prox output
+Y is zero (nnp's shrinkage phase) is skipped.  `extract` returns that
+polished read-out, and the report reuses the last check's
+eigendecomposition.  Direct solver calls keep running to convergence.
 """
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from tensorpca import (SolverConfig, eval_homogeneous, random_gaussian,
                        solve_leading_pc, solve_nnp, solve_sdp)
-from tensorpca import admm
+from tensorpca import admm, extensions
 from tensorpca.admm import (EARLY_CHECKS, GAP_CHECK_START,
                             _symmetric_relaxation, solve)
+from tensorpca.extensions import (biquadratic_form, random_partial_symmetric,
+                                  solve_biquadratic)
 from tensorpca.extraction import newton_refine
 
 SOLVERS = {"sdp": solve_sdp, "nnp": solve_nnp}
@@ -71,7 +77,7 @@ def test_direct_solves_are_bitwise_unchanged_by_the_gap_check(n, m, seed,
     cfg = SolverConfig()
     checks = []
 
-    def never(X):
+    def never(X, v):
         checks.append(X)
         return -math.inf, None
 
@@ -124,7 +130,53 @@ def test_newton_refinement_reaches_the_converged_value(method):
     assert value == pytest.approx(converged.extracted_lambda, rel=1e-13)
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-2])
+PROX = {"sdp": "project_psd", "nnp": "shrink_nuclear"}
+TOLS = (1e-6, 1e-9, 1e-2)
+
+
+def spy_prox(monkeypatch, method):
+    # whether each prox output Y was nonzero, one entry per call through
+    # the lookup site on admm that benchmarks/tracer.py times
+    nonzero = []
+    real = getattr(admm, PROX[method])
+
+    def spy(*args):
+        Y = real(*args)
+        nonzero.append(bool(Y.any()))
+        return Y
+
+    monkeypatch.setattr(admm, PROX[method], spy)
+    return nonzero
+
+
+@functools.lru_cache(maxsize=None)
+def residual_sums(n, m, seed, method):
+    # rel + primal at each iteration k but the last of the plain symmetric
+    # solve at the smallest tested tol, read from the same solve capped at
+    # k.  Neither a check nor a larger tol changes an iterate before the
+    # stop, so this serves every tol and every checked run
+    problem = _symmetric_relaxation(random_gaussian(n, m, seed))
+    cfg = SolverConfig(tol=min(TOLS))
+    sums = []
+    for k in range(1, solve(problem, method, cfg).iterations):
+        capped = solve(problem, method, replace(cfg, max_iter=k))
+        sums.append(capped.rel_change + capped.primal_residual)
+    return tuple(sums)
+
+
+def gap_schedule(sums, iterations):
+    # the iterations run_admm schedules a check at, from rel + primal:
+    # EARLY_CHECKS, then each time the sum reaches GAP_CHECK_START or half
+    # its value at the last scheduled iteration that had reached it
+    scheduled, check_at = [], GAP_CHECK_START
+    for k in range(1, iterations):
+        if sums[k - 1] <= check_at or k in EARLY_CHECKS:
+            check_at = min(check_at, 0.5 * sums[k - 1])
+            scheduled.append(k)
+    return scheduled
+
+
+@pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
 def test_gap_checks_are_spaced_by_halving(monkeypatch, method, tol):
     calls = []
@@ -138,7 +190,10 @@ def test_gap_checks_are_spaced_by_halving(monkeypatch, method, tol):
     cfg = SolverConfig(tol=tol)
     halvings = math.ceil(math.log2(GAP_CHECK_START / tol))
     limit = len(EARLY_CHECKS) + halvings + 1
-    for F in (random_gaussian(6, 4, 0), random_gaussian(4, 6, 1)):
+    nonzero = spy_prox(monkeypatch, method)
+    for case in ((6, 4, 0), (4, 6, 1)):
+        F = random_gaussian(*case)
+        sums = residual_sums(*case, method)
         calls.clear()
         solve_leading_pc(F, method, cfg)
         assert 1 <= len(calls) <= limit
@@ -146,10 +201,137 @@ def test_gap_checks_are_spaced_by_halving(monkeypatch, method, tol):
         calls.clear()
         SOLVERS[method](F, cfg)
         assert len(calls) == 1
-        # a check that never closes the gap runs at each early iteration
-        # the solve reaches and at every halving down to tol
-        checks = []
+        # a check that never closes the gap runs at each scheduled
+        # iteration whose prox output Y was nonzero: the early iterations
+        # the solve reaches with Y nonzero, and every halving down to tol
+        nonzero.clear()
+        checked = []
         report = solve(_symmetric_relaxation(F), method, cfg,
-                       lambda X: (checks.append(X) or -math.inf, None))
-        early = sum(k < report.iterations for k in EARLY_CHECKS)
-        assert early <= len(checks) <= limit - 1
+                       lambda X, v: (checked.append(len(nonzero)) or -math.inf,
+                                     None))
+        scheduled = gap_schedule(sums, report.iterations)
+        early = [k for k in EARLY_CHECKS
+                 if k < report.iterations and nonzero[k - 1]]
+        halved = [k for k in scheduled if k not in EARLY_CHECKS]
+        assert checked == [k for k in scheduled if nonzero[k - 1]]
+        assert len(checked) == len(early) + len(halved)
+        assert len(halved) <= halvings
+
+
+def record_runs(monkeypatch):
+    # each run_admm call of a solve: its arguments and the iterations its
+    # stop was asked at, counted by the prox calls of the nnp spy
+    real = admm.run_admm
+    runs = []
+    nonzero = spy_prox(monkeypatch, "nnp")
+
+    def run(project, prox, C, Y0, cfg, *, stop=None, early=()):
+        checked = []
+
+        def counted(X, mu_lam):
+            checked.append(len(nonzero))
+            return stop(X, mu_lam)
+
+        runs.append(((project, prox, C, Y0, cfg), stop, early, checked))
+        return real(project, prox, C, Y0, cfg, stop=counted, early=early)
+
+    monkeypatch.setattr(admm, "run_admm", run)
+    return runs, nonzero, real
+
+
+@pytest.mark.parametrize("n, m", [(6, 4), (4, 6), (8, 4), (10, 4)])
+def test_nnp_skips_only_checks_at_a_zero_y_that_would_not_close(monkeypatch,
+                                                                n, m):
+    runs, nonzero, run_admm = record_runs(monkeypatch)
+    skips = 0
+    for seed in range(4):
+        runs.clear()
+        nonzero.clear()
+        F = random_gaussian(n, m, seed)
+        pc, report = solve_leading_pc(F, "nnp")
+        ((args, stop, early, checked),) = runs
+        assert report.termination == "gap" and pc.certified
+        # one prox call per iteration, skipped checks included
+        assert len(nonzero) == report.iterations
+        assert all(nonzero[k - 1] for k in checked)
+        # each early iteration without a check had Y == 0, and the check
+        # run on that iterate, rebuilt by the same loop capped there, fails
+        for k in early:
+            if k >= report.iterations or k in checked:
+                continue
+            skips += 1
+            assert not nonzero[k - 1]
+            X, Y, _, _, _, _, mu_lam = run_admm(*args[:4],
+                                                replace(args[4], max_iter=k))
+            assert not Y.any()
+            assert not stop(X, mu_lam)
+    assert skips >= 4
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+def test_the_prox_runs_once_per_iteration_through_admm(monkeypatch, method):
+    # benchmarks/tracer.py counts projection.*.calls at these lookup sites,
+    # so a skipped check must neither drop nor repeat a prox call
+    nonzero = spy_prox(monkeypatch, method)
+    solves = [lambda: solve_leading_pc(random_gaussian(6, 4, 1), method),
+              lambda: solve_biquadratic(random_partial_symmetric(4, 6, 10),
+                                        method, stop_on_gap=True)]
+    for run in solves:
+        nonzero.clear()
+        _, report = run()
+        assert report.termination == "gap"
+        assert len(nonzero) == report.iterations
+        # nnp reaches its early checks with Y == 0, and skips them
+        assert (not nonzero[EARLY_CHECKS[0] - 1]) == (method == "nnp")
+
+
+def spy_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_gap_stop_reports_from_its_last_check(monkeypatch, method, seed):
+    # one eigendecomposition and one SVD read-out per check, none more for
+    # the report; the returned value is the form at the returned point and
+    # matches the converged solve's
+    F = random_gaussian(5, 4, seed)
+    G = random_partial_symmetric(4, 6, seed)
+    F4 = np.random.default_rng(seed).standard_normal((3, 3, 3, 3))
+    converged = (SOLVERS[method](F).extracted_lambda,
+                 solve_biquadratic(G, method)[0].lambda_star)
+    checks = spy_calls(monkeypatch, admm, "_checked_bound")
+    eig = spy_calls(monkeypatch, admm, "_rank_one_eig")
+    block_eig = spy_calls(monkeypatch, admm, "_block_eig")
+    svd = spy_calls(monkeypatch, admm, "_leading_factors")
+    svd_pairs = spy_calls(monkeypatch, extensions, "_leading_factors")
+    recover = spy_calls(monkeypatch, admm, "_recover_symmetric")
+
+    pc, report = solve_leading_pc(F, method)
+    assert report.termination == "gap" and pc.certified
+    assert len(eig) == len(svd) == len(checks) >= 1 and not recover
+    assert pc.lambda_star == eval_homogeneous(F, pc.x_star)
+    assert pc.lambda_star == pytest.approx(converged[0], rel=1e-10, abs=0)
+
+    for calls in (checks, eig, svd):
+        calls.clear()
+    comp, report = solve_biquadratic(G, method, stop_on_gap=True)
+    assert report.termination == "gap" and comp.certified
+    assert len(eig) == len(svd_pairs) == len(checks) >= 1 and not svd
+    assert comp.lambda_star == biquadratic_form(G, comp.x_star, comp.y_star)
+    assert comp.lambda_star == pytest.approx(converged[1], rel=1e-10, abs=0)
+
+    for calls in (checks, eig, svd_pairs):
+        calls.clear()
+    _, report = solve_leading_pc(F4, method)
+    assert report.termination == "gap"
+    assert len(block_eig) == len(svd_pairs) == len(checks) >= 1
+    assert not eig

@@ -153,11 +153,15 @@ def test_reader_reports_line_numbers(tmp_path):
     ("tensorfile \u00b9\n", 1, "tensorfile <version>"),
     (HEADER + "entries \u00b9\n", 4, "entries <count>"),
     (HEADER + "entries \u0661\n", 4, "entries <count>"),
+    ("tensorfile 1\nkind general\ndims \u0662 \u0662\nentries 1\n"
+     "\u0661 \u0662 0.5\n", 3, "dims must be positive integers"),
+    ("tensorfile 1\nkind general\ndims 2 2\nentries 1\n\u0661 \u0662 0.5\n",
+     5, "entry rows must be ASCII"),
 ])
 def test_non_ascii_digits_name_their_line(tmp_path, capsys, body, line,
                                           fragment):
     # superscript and Arabic-Indic digits pass str.isdigit; int() refuses
-    # the first and reads the second
+    # the first and reads the second, in counts, dims and indices alike
     path = write_text(tmp_path / "bad.tensor", body)
     with pytest.raises(TensorFileError) as excinfo:
         read_tensor(path)

@@ -198,7 +198,7 @@ def test_the_gap_never_closes_at_a_non_global_kkt_point(method, seed):
     u = moment_point(x, 3, 2)
     checks = []
 
-    def stuck(X):
+    def stuck(X, v):
         checks.append(X)
         return value, u
 
@@ -222,7 +222,7 @@ def test_the_partial_gap_never_closes_at_a_non_global_kkt_point(method):
     assert local, "no non-global KKT point found"
     value, x, y = max(local, key=lambda p: p[0])
     report = solve(partial_relaxation(G), method, SolverConfig(),
-                   lambda X: (value, np.kron(x, y)))
+                   lambda X, v: (value, np.kron(x, y)))
     assert report.termination == "converged"
 
 
