@@ -3,8 +3,8 @@
 The public surface re-exported here covers canonical symmetric storage,
 square matricization, the feasible-set projections, the ADMM solvers for
 the nuclear-norm-penalized and SDP relaxations, component extraction with
-rank-one certification, the bi-quadratic and multilinear reductions, the
-brute-force oracles, file I/O, and the experiment harness.
+rank-one certification, the partial-symmetric relaxation every dense array
+reduces to, the brute-force oracles, file I/O, and the experiment harness.
 """
 
 from .tensors import (SuperSymmetricTensor, canonical_index, class_size,
@@ -21,8 +21,7 @@ from .extraction import (PrincipalComponent, NotRankOne, MultilinearComponent,
                          MbiResult, extract, mbi_refine, deflate)
 from .extensions import (BiquadraticComponent, random_partial_symmetric,
                          solve_biquadratic, trilinear_to_biquadratic,
-                         quadrilinear_to_biquadratic, multilinear_embed,
-                         odd_to_even, solve_trilinear, solve_quadrilinear,
+                         stack_multilinear, odd_to_even, solve_trilinear,
                          solve_multilinear, solve_leading_pc)
 from .oracle import OracleResult, sphere_grid_max, kkt_project, multistart_local
 from .io import (FORMAT_VERSION, TensorFileError, LoadedTensor, read_tensor,
@@ -47,9 +46,8 @@ __all__ = [
     "extract", "mbi_refine", "deflate", "solve_leading_pc",
     "BiquadraticComponent", "is_partial_symmetric", "partial_symmetrize",
     "random_partial_symmetric", "solve_biquadratic",
-    "trilinear_to_biquadratic", "quadrilinear_to_biquadratic",
-    "multilinear_embed", "odd_to_even", "solve_trilinear",
-    "solve_quadrilinear", "solve_multilinear",
+    "trilinear_to_biquadratic", "stack_multilinear", "odd_to_even",
+    "solve_trilinear", "solve_multilinear",
     "OracleResult", "sphere_grid_max", "kkt_project", "multistart_local",
     "FORMAT_VERSION", "TensorFileError", "LoadedTensor", "read_tensor",
     "write_tensor",

@@ -4,7 +4,7 @@ A `Relaxation` describes a problem: its cost matrix, the projection onto
 its trace-one affine set and a feasible rank-one start.  `solve` runs it
 and reports on X, rank-one certificate included.  `solve_nnp` and
 `solve_sdp` build the symmetric-tensor description and recover x; the
-bi-quadratic one is in `extensions`.  This module sits above
+partial-symmetric one is in `extensions`.  This module sits above
 matricize/projection and below extraction.
 
 Every solve is bounded by its dual.  With L the directions of the affine
@@ -41,7 +41,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .matricize import _leading_factors, _rank_one_eig
+from .matricize import _leading_factors, _outer, _rank_one_eig
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import (_moment_tables, lift_blocks, lift_moment,
                          moment_class_values, moment_normal, moment_point,
@@ -643,42 +643,69 @@ def _newton_symmetric(F: SuperSymmetricTensor, x: np.ndarray):
     return x, value
 
 
-def _top_eigenvector(M: np.ndarray) -> np.ndarray:
-    return np.linalg.eigh(0.5 * (M + M.T))[1][:, -1]
+def _pair_form(G: np.ndarray) -> np.ndarray:
+    # G as (s_1^2, ..., s_d^2), modes k and k + d side by side in axis k
+    d = G.ndim // 2
+    order = [a for k in range(d) for a in (k, k + d)]
+    return np.transpose(G, order).reshape([s * s for s in G.shape[:d]])
 
 
-def polish_biquadratic(G: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Polish (x, y) toward a KKT point of g(x, y, x, y) over unit x and y.
+def _sphere_matrix(P: np.ndarray, xs, k: int) -> np.ndarray:
+    # A_k, the form as a quadratic in x_k: the pair form P contracted with
+    # vec(x_j x_j^T) on every axis j but k, the last first
+    for j in range(len(xs) - 1, k, -1):
+        P = P.reshape(-1, xs[j].size ** 2) @ np.outer(xs[j], xs[j]).ravel()
+    for j in range(k):
+        P = np.outer(xs[j], xs[j]).ravel() @ P.reshape(xs[j].size ** 2, -1)
+    return P.reshape(xs[k].size, xs[k].size)
 
-    POLISH_SWEEPS alternating sweeps (x the top eigenvector of
-    A(y) = G(., y, ., y), then y that of B(x) = G(x, ., x, .)), then
-    Newton steps on the two spheres for A(y) x = lambda x,
-    B(x) y = lambda y, with the Riemannian Hessian built from
-    [[A, 2E], [2E^T, B]], E = G(., ., x, y).  Neither stage lowers the
-    form.  Returns (x, y, lambda), lambda = x^T A(y) x.
+
+def _ascent_sweep(P: np.ndarray, xs: list) -> None:
+    # each x_k in turn becomes the top eigenvector of A_k, in place
+    for k in range(len(xs)):
+        A = _sphere_matrix(P, xs, k)
+        xs[k] = np.linalg.eigh(0.5 * (A + A.T))[1][:, -1]
+
+
+def polish_biquadratic(G: np.ndarray, *xs: np.ndarray):
+    """Polish unit (x_1..x_d) toward a KKT point of G(x_1..x_d, x_1..x_d).
+
+    POLISH_SWEEPS alternating sweeps, then Newton steps on the d spheres
+    for A_k x_k = lambda x_k, A_k the form as a quadratic in x_k, with the
+    Riemannian Hessian built from the A_k and 2 E_kj, E_kj = G(x, x) with
+    modes k and j of its first copy open.  Neither stage lowers the form.
+    Returns (x_1, ..., x_d, lambda).
     """
-    n, m = G.shape[0], G.shape[1]
-    Gm = np.reshape(G, (n * m, n * m))
-    # A(y) = Gx vec(y y^T) and B(x) = vec(x x^T) Gx, as n x n and m x m
-    Gx = np.transpose(G, (0, 2, 1, 3)).reshape(n * n, m * m)
+    d = len(xs)
+    dims = G.shape[:d]
+    Gm = np.reshape(G, (math.isqrt(G.size),) * 2)
+    P, xs = _pair_form(G), list(xs)
     for _ in range(POLISH_SWEEPS):
-        x = _top_eigenvector((Gx @ np.outer(y, y).ravel()).reshape(n, n))
-        y = _top_eigenvector((np.outer(x, x).ravel() @ Gx).reshape(m, m))
-    H = np.zeros((n + m, n + m))
+        _ascent_sweep(P, xs)
+    edges = np.cumsum((0,) + dims)
+    rows = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    H = np.zeros((edges[-1], edges[-1]))
 
     def contract(z):
         # fills H in place: `_sphere_newton` reads H only before its next
         # contract call
-        x, y = z[:n], z[n:]
-        H[:n, :n] = A = (Gx @ np.outer(y, y).ravel()).reshape(n, n)
-        H[n:, n:] = B = (np.outer(x, x).ravel() @ Gx).reshape(m, m)
-        H[:n, n:] = E = 2.0 * (Gm @ np.outer(x, y).ravel()).reshape(n, m)
-        H[n:, :n] = E.T
-        Ax = A @ x
-        return H, np.concatenate([Ax, B @ y]), float(x @ Ax)
+        us = [z[r] for r in rows]
+        Gu = (Gm @ _outer(us)).reshape(dims)
+        for k, j in itertools.combinations(range(d), 2):
+            E = Gu
+            for other in reversed(range(d)):
+                if other not in (k, j):
+                    E = np.tensordot(E, us[other], axes=(other, 0))
+            H[rows[k], rows[j]] = E = 2.0 * E
+            H[rows[j], rows[k]] = E.T
+        g = []
+        for k in range(d):
+            H[rows[k], rows[k]] = A = _sphere_matrix(P, us, k)
+            g.append(A @ us[k])
+        return H, np.concatenate(g), float(us[0] @ g[0])
 
-    (x, y), value = _sphere_newton([x, y], contract)
-    return x, y, value
+    xs, value = _sphere_newton(xs, contract)
+    return (*xs, value)
 
 
 def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
@@ -704,7 +731,7 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
 def _read_out(F: SuperSymmetricTensor, v: np.ndarray) -> np.ndarray:
     # x: the left factor of v, the lifted leading eigenvector of X, signed
     # by the form
-    return _fix_sign(F, _leading_factors(v, F.n)[0])
+    return _fix_sign(F, _leading_factors(v, (F.n, len(v) // F.n))[0])
 
 
 def _recover_symmetric(F: SuperSymmetricTensor, report: SolveReport) -> SolveReport:

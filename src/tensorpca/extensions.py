@@ -1,27 +1,29 @@
 """Reductions onto the even-order machinery, and the router for every input.
 
-A bi-quadratic form over (x, y) has its own relaxation, run through
-`admm.solve`; the tri-linear and quadri-linear problems reduce to it, a
-general even-order multilinear problem embeds into one larger symmetric
-tensor, and odd-order symmetric problems square into even ones.
-`solve_leading_pc` picks the route; even orders end in `extraction`.
-Each reduction scales the maximum by a known map, and maps the solve's dual
-bound back onto the returned component's scale with it.
+A partial-symmetric form G(x_1..x_d, x_1..x_d) over d spheres has its own
+relaxation, run through `admm.solve` (`solve_biquadratic`; d = 2 is the
+bi-quadratic form).  Every dense array reduces to it: order 3 by squaring
+out its last mode, order 2d by stacking its modes in pairs.  Odd-order
+symmetric problems square into even ones; `solve_leading_pc` picks the
+route, and symmetric even orders end in `extraction`.  Each reduction
+scales the maximum by a known map, and maps the solve's dual bound back
+onto the returned component's scale with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import (Relaxation, SolverConfig, _top_eigenvector, certifies,
-                   polish_biquadratic, solve)
+from .admm import (Relaxation, SolverConfig, _ascent_sweep, _pair_form,
+                   certifies, polish_biquadratic, solve)
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import (MultilinearComponent, PrincipalComponent,
                          _ascend_with_restarts, solve_even_order)
-from .matricize import _leading_factors, matr_partial, partial_symmetrize
+from .matricize import _leading_factors, _outer, matr_partial, partial_symmetrize
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import (partial_block_gathers, partial_normal,
                          project_partial_C, stack_blocks)
@@ -35,23 +37,19 @@ __all__ = [
     "random_partial_symmetric",
     "solve_biquadratic",
     "trilinear_to_biquadratic",
-    "quadrilinear_to_biquadratic",
-    "multilinear_embed",
+    "stack_multilinear",
     "odd_to_even",
     "solve_trilinear",
-    "solve_quadrilinear",
     "solve_multilinear",
     "solve_leading_pc",
 ]
 
 
 @dataclass(frozen=True)
-class BiquadraticComponent:
-    lambda_star: float
-    x_star: np.ndarray
-    y_star: np.ndarray
-    certified: bool
-    bound: float = math.nan
+class BiquadraticComponent(MultilinearComponent):
+    """A MultilinearComponent of G(x_1..x_d, x_1..x_d); x_star, y_star at d = 2."""
+    x_star = property(lambda self: self.xs[0])
+    y_star = property(lambda self: self.xs[1])
 
 
 def random_partial_symmetric(n: int, m: int, seed: int) -> np.ndarray:
@@ -60,144 +58,148 @@ def random_partial_symmetric(n: int, m: int, seed: int) -> np.ndarray:
     return partial_symmetrize(rng.standard_normal((n, m, n, m)))
 
 
-def biquadratic_form(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """g(x, y, x, y)."""
-    return eval_multilinear(g, [x, y, x, y])
+def biquadratic_form(g: np.ndarray, *xs: np.ndarray) -> float:
+    """g(x_1, ..., x_d, x_1, ..., x_d); g(x, y, x, y) for d = 2."""
+    return eval_multilinear(g, [*xs, *xs])
 
 
-def _mbi_biquadratic(g: np.ndarray, x0: np.ndarray, y0: np.ndarray,
-                     seed: int, bound: float = math.nan, rank_tol: float = 0.0,
-                     tol: float = 1e-12, max_sweeps: int = 1000):
-    """Alternating eigenvector ascent on g(x, y, x, y), with seeded restarts.
+def _mbi_biquadratic(g: np.ndarray, x0s, seed: int, bound: float = math.nan,
+                     rank_tol: float = 0.0, tol: float = 1e-12,
+                     max_sweeps: int = 1000):
+    """Alternating eigenvector ascent on g(x_1..x_d, x_1..x_d), with restarts.
 
-    With one block fixed the form is a quadratic in the other whose matrix
-    is symmetric by partial symmetry, so each update is a leading
-    eigenvector and the objective never decreases.  The restarts are
-    skipped when the ascent from (x0, y0) closes the gap to `bound`.  The
-    fallback of an uncertified solve: a certified one is polished by
-    `admm.polish_biquadratic`.
+    Sweeps of `admm._ascent_sweep` never lower the form.  The restarts are
+    skipped when the ascent from the blocks x0s closes the gap to `bound`.
+    The fallback of an uncertified solve; a certified one is polished.
     """
-    def ascend(x, y):
-        value = biquadratic_form(g, x, y)
+    P = _pair_form(g)
+
+    def ascend(*xs):
+        xs = list(xs)
+        value = biquadratic_form(g, *xs)
         for _ in range(max_sweeps):
             previous = value
-            x = _top_eigenvector(np.einsum("ijkl,j,l->ik", g, y, y))
-            y = _top_eigenvector(np.einsum("ijkl,i,k->jl", g, x, x))
-            value = biquadratic_form(g, x, y)
+            _ascent_sweep(P, xs)
+            value = biquadratic_form(g, *xs)
             if abs(value - previous) <= tol * abs(previous):
                 break
-        return value, (x, y)
+        return value, tuple(xs)
 
-    return _ascend_with_restarts(ascend, (x0, y0), seed, bound, rank_tol)
+    return _ascend_with_restarts(ascend, tuple(x0s), seed, bound, rank_tol)
+
+
+def _sign_choices(labels: np.ndarray) -> list:
+    # row signs to try on the blocks' read-out z = sum_b +-sqrt(l_b) u_b.  A
+    # flip of the form negates the labels with an odd number of bits in some
+    # mask, keeping z's value: only labels of two or more bits need a sign
+    free = [c for c in np.unique(labels) if c & (c - 1)]
+    return [np.where(np.isin(labels, [c for c, flip in zip(free, flips)
+                                      if flip]), -1.0, 1.0)
+            for flips in itertools.product((False, True), repeat=len(free))]
+
+
+def _best_factors(Gm: np.ndarray, z: np.ndarray, dims, choices):
+    # (u^T Gm u, blocks) at the rank-one point u of the blocks read from z
+    # under the sign choice of the largest value, the first on a tie
+    def read(signs):
+        xs = _leading_factors(signs * z, dims)
+        u = _outer(xs)
+        return float(u @ Gm @ u), xs
+
+    return max(map(read, choices), key=lambda r: r[0])
 
 
 def solve_biquadratic(G: np.ndarray, method: str = "sdp",
                       cfg: SolverConfig = None, *, stop_on_gap: bool = False,
                       odd_rows: np.ndarray = None):
-    """Maximize G(x, y, x, y) over unit x, y via a convex relaxation.
+    """Maximize G(x_1..x_d, x_1..x_d) over unit x_k via a convex relaxation.
 
-    The relaxation maximizes tr(matr_partial(G) X) over trace-one matrices
-    with a partial-symmetric underlying tensor, PSD for "sdp" and with a
-    nuclear-norm penalty for "nnp", solved by the same splitting loop as
-    the symmetric case.  A rank-one solution factors as
-    vec(x y^T) vec(x y^T)^T; the SVD of the reshaped leading eigenvector
-    splits it into the two unit blocks.  A read-out the rank-one
-    certificate does not cover is polished (`admm.polish_biquadratic`),
-    and the component is certified when its value closes the gap to the
-    solve's bound (`admm.certifies`); only a value that does not falls
-    back to alternating eigenvector ascent with restarts.
+    G has shape (s_1..s_d, s_1..s_d) and is fixed by each swap of modes k
+    and k + d; d = 2 is the bi-quadratic form G(x, y, x, y).  The
+    relaxation maximizes tr(matr_partial(G) X) over trace-one N x N
+    matrices with a partial-symmetric tensor, PSD for "sdp" and with a
+    nuclear-norm penalty for "nnp".  Successive SVDs of a rank-one
+    solution's leading eigenvector give the unit blocks.  A read-out the
+    rank-one certificate does not cover is polished
+    (`admm.polish_biquadratic`), and one whose value does not close the
+    gap to the solve's bound either (`admm.certifies`) falls back to
+    alternating eigenvector ascent with restarts.
 
-    With stop_on_gap the ADMM also stops once the form at the polished
-    read-out (x, y) closes the gap to the dual bound corrected at
-    vec(x y^T) (termination "gap"), and returns that check's (x, y) as
-    they are, not read back out of vec(x y^T); the pipeline routes set it.
-    odd_rows is a boolean mask over the n*m rows (row i*m + j) that a sign
-    flip D of x and y fixing the form negates (ValueError for another
-    shape or dtype, or when the form is not fixed by such a flip).  Every
-    iterate is then D-invariant: X averages zz^T with its flip, is
-    block-diagonal over the even and the odd rows, and is never rank one
-    as a whole.  The ADMM then runs on the stack of the two diagonal
-    blocks (`Relaxation.blocks`), with one batched eigendecomposition per
-    iteration; each block of a solution is rank one, which the report
-    certifies block by block, and the read-out takes z = sqrt(l_even)
-    u_even + sqrt(l_odd) u_odd from the top eigenpair of each block, at the
-    gap checks and at the end.  Either sign of u_odd gives an optimum.  Its
-    checks compare the unpolished read-out with the uncorrected bound, and
-    the stopped read-out is polished once.  A mask with one sign declares
-    no flip and solves as without it.
+    With stop_on_gap the ADMM also stops once the polished read-out closes
+    the gap to the bound corrected at its rank-one point (termination
+    "gap"), returning that check's blocks; the pipeline routes set it.
+    odd_rows labels the N rows (row-major) by their class under sign flips
+    of the x_k that fix the form: integers, or a boolean mask (ValueError
+    for another shape or dtype, or when the form couples two classes).  X
+    is then block-diagonal over the classes and never rank one as a whole,
+    so the ADMM runs on the stack of its diagonal blocks
+    (`Relaxation.blocks`), and the report certifies each as rank one.  The
+    read-out is z = sum_b +-sqrt(l_b) u_b from each block's top eigenpair,
+    signed for the largest value; the checks compare it unpolished with
+    the uncorrected bound, and the stopped read-out is polished once.
 
     Returns
     -------
     (component, report)
         BiquadraticComponent and the solver report; the report's
-        extracted_x is the leading eigenvector of X (length n*m), the
-        blocks' read-out z, or the polished vec(x y^T) of a gap stop, its X
-        the N x N matrix, and its extracted_lambda the component's value.
+        extracted_x is the leading eigenvector of X, the blocks' read-out
+        z, or the polished rank-one point of a gap stop, its X the N x N
+        matrix, and its extracted_lambda the component's value.
     """
     cfg = cfg or SolverConfig()
     G = _finite_array(G)
     Gm = matr_partial(G)
-    n, m = G.shape[0], G.shape[1]
+    dims = G.shape[:G.ndim // 2]
 
-    blocks = None
-    if odd_rows is not None:
-        odd_rows = np.asarray(odd_rows)
-        if odd_rows.dtype != bool or odd_rows.shape != (n * m,):
-            raise ValueError(f"odd_rows must be a boolean mask of length {n * m}")
-        even, odd = np.flatnonzero(~odd_rows), np.flatnonzero(odd_rows)
-        if Gm[np.ix_(even, odd)].any():
-            raise ValueError("odd_rows: the form is not fixed by the flip")
-        if even.size and odd.size:
-            blocks = (even, odd)
-    # feasible rank-one start at the best coordinate pair: Gm[p, p] is
-    # G[i, j, i, j] at p = i*m + j
+    labels = np.zeros(len(Gm), int) if odd_rows is None else np.asarray(odd_rows)
+    if (labels.shape != (len(Gm),) or labels.dtype.kind not in "biu"
+            or Gm[labels[:, None] != labels].any()):
+        raise ValueError(f"odd_rows must be {len(Gm)} integer labels of "
+                         f"classes the form does not couple")
+    blocks = tuple(np.flatnonzero(labels == c) for c in np.unique(labels))
+    blocks = blocks if len(blocks) > 1 else None
+    # feasible rank-one start at the largest diagonal entry of Gm
     p = int(np.argmax(np.diag(Gm)))
     Y0 = np.zeros_like(Gm)
     Y0[p, p] = 1.0
     if blocks is None:
-        problem = Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0,
-                             normal=lambda u: partial_normal(u, n, m))
+        problem = Relaxation(Gm, lambda Z: project_partial_C(Z, dims), Y0,
+                             normal=lambda u: partial_normal(u, dims))
     else:
-        gathers = partial_block_gathers(n, m, blocks)
+        gathers = partial_block_gathers(dims, blocks)
         problem = Relaxation(
             stack_blocks(Gm, blocks),
-            lambda Z: project_partial_C(Z, n, m, gathers),
+            lambda Z: project_partial_C(Z, dims, gathers),
             stack_blocks(Y0, blocks), blocks=blocks)
 
-    # (x, y) of the last check, which a gap stop returns
-    value, checked = None, []
+    # the blocks of the last check, which a gap stop returns
+    value, checked, choices = None, [], _sign_choices(labels)
     if stop_on_gap and blocks is None:
         def value(X, v):
-            # the form at (x, y) read from X's leading eigenvector v and
-            # polished, and the rank-one point vec(x y^T)
-            x, y, form = polish_biquadratic(G, *_leading_factors(v, n))
-            checked[:] = x, y
-            return form, np.outer(x, y).ravel()
+            # the polished blocks read from v, and their rank-one point
+            *xs, form = polish_biquadratic(G, *_leading_factors(v, dims))
+            checked[:] = xs
+            return form, _outer(xs)
     elif stop_on_gap:
         def value(X, v):
-            # the form at (x, y) read from v, the top eigenpairs of X's
-            # blocks, as u^T matr_partial(G) u at u = vec(x y^T)
-            checked[:] = _leading_factors(v, n)
-            u = np.outer(*checked).ravel()
-            return float(u @ Gm @ u), None
+            # the blocks read from v, the top eigenpairs of X's blocks
+            form, checked[:] = _best_factors(Gm, v, dims, choices)
+            return form, None
 
     report = solve(problem, method, cfg, value)
-    if report.termination == "gap":
-        x, y = checked
-    else:
-        x, y = _leading_factors(report.extracted_x, n)
+    xs = (checked if report.termination == "gap"
+          else _best_factors(Gm, report.extracted_x, dims, choices)[1])
     polished = report.termination == "gap" and blocks is None
     if not (report.certified or polished):
-        x, y, _ = polish_biquadratic(G, x, y)
+        *xs, _ = polish_biquadratic(G, *xs)
         if not certifies(replace(report,
-                                 extracted_lambda=biquadratic_form(G, x, y)),
+                                 extracted_lambda=biquadratic_form(G, *xs)),
                          cfg.rank_tol):
-            x, y = _mbi_biquadratic(G, x, y, cfg.seed, report.bound,
-                                    cfg.rank_tol)
-    # the form is even in x and in y: every sign is a tie
-    x, y = _canonical_sign(x), _canonical_sign(y)
-    report = replace(report, extracted_lambda=biquadratic_form(G, x, y))
-    component = BiquadraticComponent(report.extracted_lambda, x, y,
+            xs = _mbi_biquadratic(G, xs, cfg.seed, report.bound, cfg.rank_tol)
+    # the form is even in each block: every sign is a tie
+    xs = tuple(_canonical_sign(x) for x in xs)
+    report = replace(report, extracted_lambda=biquadratic_form(G, *xs))
+    component = BiquadraticComponent(report.extracted_lambda, xs,
                                      certifies(report, cfg.rank_tol),
                                      report.bound)
     return component, report
@@ -216,40 +218,30 @@ def trilinear_to_biquadratic(F: np.ndarray) -> np.ndarray:
                   + np.einsum("ivk,ujk->ijuv", F, F))
 
 
-def quadrilinear_to_biquadratic(F: np.ndarray) -> np.ndarray:
-    """Embed an n1 x n2 x n3 x n4 form into a partial-symmetric one.
+def stack_multilinear(F: np.ndarray) -> np.ndarray:
+    """Stack an order-2d form into a partial-symmetric one over d spheres.
 
-    Modes 1 and 3 stack into one block, modes 2 and 4 into the other; the
-    form sits in the single cross-block corner and partial symmetrization
-    spreads it without changing evaluations at stacked arguments:
-    T(x1;x3, x2;x4, x1;x3, x2;x4) = F(x1, x2, x3, x4).
-    """
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 4:
-        raise ValueError(f"expected an order-4 array, got order {F.ndim}")
-    n1, n2, n3, n4 = F.shape
-    G = np.zeros((n1 + n3, n2 + n4, n1 + n3, n2 + n4))
-    G[:n1, :n2, n1:, n2:] = F
-    return partial_symmetrize(G)
-
-
-def multilinear_embed(F: np.ndarray) -> SuperSymmetricTensor:
-    """Embed an even-order multilinear form into one symmetric tensor.
-
-    The form is placed in the block of a sum(n_i)-dimensional tensor where
-    mode k ranges over its own index block, then symmetrized; evaluations
-    at stacked block vectors are unchanged:
-    T(y, ..., y) = F(x1, ..., x_2d) for y = (x1; ...; x_2d).
+    Modes k and k + d stack into block u_k = (x_k; x_{k+d}).  F sits in the
+    corner of the first halves' modes k < d and the second halves' modes
+    k + d, and averaging over the swaps (k, k + d) keeps the form at
+    stacked arguments: G(u_1..u_d, u_1..u_d) = F(x_1, ..., x_2d).
     """
     F = np.asarray(F, dtype=float)
     if F.ndim % 2 or F.ndim == 0:
         raise ValueError(f"expected a positive even order, got {F.ndim}")
-    dims = F.shape
-    offsets = np.concatenate(([0], np.cumsum(dims[:-1])))
-    total = int(np.sum(dims))
-    G = np.zeros((total,) * F.ndim)
-    G[tuple(slice(o, o + s) for o, s in zip(offsets, dims))] = F
-    return symmetrize(G)
+    first = F.shape[:F.ndim // 2]
+    G = np.zeros([a + b for a, b in zip(first, F.shape[len(first):])] * 2)
+    G[(*map(slice, first), *(slice(a, None) for a in first))] = F
+    return partial_symmetrize(G)
+
+
+def _flip_classes(shape) -> np.ndarray:
+    # each row's class under the flips of the second halves of an even
+    # number of blocks: its halves' parity vector mod all-ones, as bits
+    d = len(shape) // 2
+    index = np.indices([a + b for a, b in zip(shape[:d], shape[d:])])
+    parity = index.reshape(d, -1) >= np.array(shape[:d])[:, None]
+    return (parity[1:] != parity[0]).T @ (1 << np.arange(d - 1))
 
 
 def odd_to_even(F: SuperSymmetricTensor) -> SuperSymmetricTensor:
@@ -265,17 +257,6 @@ def odd_to_even(F: SuperSymmetricTensor) -> SuperSymmetricTensor:
     t = F.to_dense()
     h = np.tensordot(t, t, axes=([F.m - 1], [F.m - 1]))
     return symmetrize(h)
-
-
-def _split_blocks(y: np.ndarray, dims) -> list:
-    offsets = np.concatenate(([0], np.cumsum(dims)))
-    blocks = []
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        block = y[int(a):int(b)]
-        if float(np.linalg.norm(block)) == 0.0:
-            raise ValueError("degenerate solution: a recovered block is zero")
-        blocks.append(_unit(block))
-    return blocks
 
 
 def solve_trilinear(F: np.ndarray, method: str = "sdp",
@@ -295,44 +276,26 @@ def solve_trilinear(F: np.ndarray, method: str = "sdp",
                                 math.sqrt(comp.bound)), report
 
 
-def solve_quadrilinear(F: np.ndarray, method: str = "sdp",
-                       cfg: SolverConfig = None):
-    """Maximize F(x1, x2, x3, x4) over unit vectors via stacking.
-
-    x = (x1; x3) and y = (x2; x4).  Negating x3 and x4 fixes F, so the
-    bi-quadratic relaxation is solved in the two diagonal blocks of that
-    flip: the rows i*(n2 + n4) + j with exactly one of i >= n1, j >= n2
-    are odd.  X itself is never rank one, but a converged X is rank one in
-    each block, which `report.certified` tests.  The solve stops on the
-    duality gap (`stop_on_gap`).
-    """
-    F = np.asarray(F, dtype=float)
-    n1, n2, n3, n4 = F.shape
-    i, j = np.divmod(np.arange((n1 + n3) * (n2 + n4)), n2 + n4)
-    comp, report = solve_biquadratic(quadrilinear_to_biquadratic(F), method,
-                                     cfg, stop_on_gap=True,
-                                     odd_rows=(i >= n1) != (j >= n2))
-    x1, x3 = _split_blocks(comp.x_star, (n1, n3))
-    x2, x4 = _split_blocks(comp.y_star, (n2, n4))
-    blocks, value = _fix_last_sign(F, [x1, x2, x3, x4])
-    # a unit stacked vector splits its norm evenly between its two blocks at
-    # the maximum, so the stacked form's maximum is F's over 4
-    return MultilinearComponent(value, blocks, comp.certified,
-                                4.0 * comp.bound), report
-
-
 def solve_multilinear(F: np.ndarray, method: str = "sdp",
                       cfg: SolverConfig = None):
-    """Maximize an even-order multilinear form via the symmetric embedding."""
+    """Maximize F(x_1, ..., x_2d) over unit vectors via stacking.
+
+    u_k = (x_k; x_{k+d}) (`stack_multilinear`), solved in the 2^(d-1)
+    diagonal blocks of the flips that fix the stacked form, where
+    `report.certified` tests each block for rank one.  The solve stops on
+    the duality gap (`stop_on_gap`).
+    """
     F = np.asarray(F, dtype=float)
-    T = multilinear_embed(F)
-    pc, report = solve_leading_pc(T, method, cfg)
-    blocks, value = _fix_last_sign(F, _split_blocks(pc.x_star, F.shape))
-    # a unit stacked vector puts 1/sqrt(2d) of its norm in each of the 2d
-    # blocks at the maximum, so the embedding's maximum is F's over (2d)^d
-    scale = F.ndim ** (F.ndim // 2)
-    return MultilinearComponent(value, blocks, pc.certified,
-                                scale * pc.bound), report
+    comp, report = solve_biquadratic(stack_multilinear(F), method, cfg,
+                                     stop_on_gap=True,
+                                     odd_rows=_flip_classes(F.shape))
+    split = [(u[:n], u[n:]) for u, n in zip(comp.xs, F.shape)]
+    blocks, value = _fix_last_sign(F, [_unit(h[0]) for h in split]
+                                   + [_unit(h[1]) for h in split])
+    # a unit stacked vector splits its norm evenly between its two halves
+    # at the maximum, so the stacked form's maximum is F's over 2^d
+    return MultilinearComponent(value, blocks, comp.certified,
+                                2 ** len(comp.xs) * comp.bound), report
 
 
 def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
@@ -342,10 +305,9 @@ def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
     ----------
     F : SuperSymmetricTensor or ndarray
         Even-order symmetric tensors are solved directly; odd-order
-        symmetric tensors are squared first; dense order-3 and order-4
-        arrays take the bi-quadratic route; other even-order dense arrays
-        are embedded into one larger symmetric tensor.  Dense arrays must
-        be finite.
+        symmetric tensors are squared first; dense order-3 arrays take the
+        bi-quadratic route, and dense even-order arrays the stacked one
+        (`solve_multilinear`).  Dense arrays must be finite.
     method : {"sdp", "nnp"}
         Relaxation solved by the ADMM.
     cfg : SolverConfig, optional
@@ -373,8 +335,6 @@ def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
     t = _finite_array(F)
     if t.ndim == 3:
         return solve_trilinear(t, method, cfg)
-    if t.ndim == 4:
-        return solve_quadrilinear(t, method, cfg)
     if t.ndim % 2 == 0:
         return solve_multilinear(t, method, cfg)
     raise ValueError(f"no solve route for a dense order-{t.ndim} array")

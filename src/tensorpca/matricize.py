@@ -8,13 +8,14 @@ index formulas.
 
 Each symmetry is averaged in one place: over permutation classes with
 `tensors._class_map` (as `tensors.symmetrize` and `is_super_symmetric`
-do), and over the swaps of modes (0, 2) and (1, 3) with
+do), and over the swaps of modes k and k + d of an order-2d array with
 `partial_symmetrize`, next to `is_partial_symmetric` and `matr_partial`.
 The trace-one projections in `projection` average with these.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -121,54 +122,67 @@ def rank_one_ratio(X: np.ndarray):
     return ratio, (value, vec)
 
 
-def _leading_factors(v: np.ndarray, rows: int):
-    # unit leading left and right singular vectors of v reshaped to `rows`
-    # rows: the factors of a near rank-one v, robust to small asymmetry
-    u, _, vt = np.linalg.svd(np.reshape(v, (rows, -1)), full_matrices=False)
-    return _unit(u[:, 0]), _unit(vt[0])
+def _leading_factors(v: np.ndarray, dims):
+    # unit factors of a near rank-one v over `dims`, robust to small
+    # asymmetry: v's leading left singular vector, then its right one's
+    factors = []
+    for rows in dims[:-1]:
+        u, _, vt = np.linalg.svd(np.reshape(v, (rows, -1)), full_matrices=False)
+        factors.append(_unit(u[:, 0]))
+        v = vt[0]
+    return (*factors, _unit(v))
 
 
-def _check_biquadratic_shape(g: np.ndarray) -> None:
-    if g.ndim != 4 or g.shape[0] != g.shape[2] or g.shape[1] != g.shape[3]:
-        raise ValueError(f"expected an (n, m, n, m) array, got {g.shape}")
+def _outer(xs) -> np.ndarray:
+    # vec(x_1 (x) ... (x) x_d), which `_leading_factors` splits
+    return functools.reduce(np.multiply.outer, xs).ravel()
+
+
+def _partial_order(g: np.ndarray) -> int:
+    # d for an (s_1..s_d, s_1..s_d) array
+    d = g.ndim // 2
+    if g.ndim == 0 or g.ndim % 2 or g.shape[:d] != g.shape[d:]:
+        raise ValueError(f"expected an (s_1..s_d, s_1..s_d) array, got {g.shape}")
+    return d
 
 
 def is_partial_symmetric(g: np.ndarray, tol: float = 1e-12):
-    """Whether g is invariant under swapping modes (0,2) and modes (1,3)."""
+    """Whether an order-2d g is invariant under each swap of modes (k, k + d)."""
     g = np.asarray(g, dtype=float)
-    _check_biquadratic_shape(g)
-    violation = max(float(np.max(np.abs(g - g.transpose(2, 1, 0, 3)))),
-                    float(np.max(np.abs(g - g.transpose(0, 3, 2, 1)))))
+    d = _partial_order(g)
+    violation = max(float(np.max(np.abs(g - g.swapaxes(k, k + d))))
+                    for k in range(d))
     return violation <= tol, violation
 
 
 def partial_symmetrize(t: np.ndarray) -> np.ndarray:
-    """Average over the 4-element orbit {e, (02), (13), (02)(13)}.
+    """Average an order-2d array over the 2^d products of the swaps (k, k + d).
 
     The orthogonal projection onto the partial-symmetric arrays.  Averaged
-    one generator at a time so the result is bitwise invariant under both
-    swaps (float addition commutes even though it does not associate).
+    one swap at a time so the result is bitwise invariant under every swap
+    (float addition commutes even though it does not associate).
     """
     t = np.asarray(t, dtype=float)
-    _check_biquadratic_shape(t)
-    t = 0.5 * (t + t.transpose(2, 1, 0, 3))
-    return 0.5 * (t + t.transpose(0, 3, 2, 1))
+    d = _partial_order(t)
+    for k in range(d):
+        t = 0.5 * (t + t.swapaxes(k, k + d))
+    return t
 
 
 def matr_partial(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Square rearrangement of an (n, m, n, m) partial-symmetric array.
+    """Square rearrangement of an (s_1..s_d, s_1..s_d) partial-symmetric array.
 
-    Row k = (i1)*m + i2 and column l = (i3)*m + i4, i.e. a C-order reshape
-    to nm x nm.  The matrix transpose corresponds to swapping the index
-    pairs, which partial symmetry leaves invariant, so the output is
-    symmetric; inputs violating partial symmetry beyond `tol` are rejected.
+    A C-order reshape to N x N, N = s_1 ... s_d.  The matrix transpose
+    swaps every pair of modes (k, k + d), which partial symmetry leaves
+    invariant, so the output is symmetric; inputs violating partial
+    symmetry beyond `tol` are rejected.
     """
     g = np.asarray(g, dtype=float)
     ok, violation = is_partial_symmetric(g, tol)
     if not ok:
         raise ValueError(f"partial symmetry violated by {violation:.3e}")
-    n, m = g.shape[0], g.shape[1]
-    return g.reshape(n * m, n * m)
+    size = int(np.prod(g.shape[:g.ndim // 2]))
+    return g.reshape(size, size)
 
 
 def mode_n_unfold(t: np.ndarray, mode: int) -> np.ndarray:

@@ -2,12 +2,12 @@
 
 Three operators: projection onto the trace-one symmetric affine set,
 singular-value shrinkage, and projection onto the PSD cone.  A fourth
-variant projects onto the trace-one partial-symmetric set used by the
-bi-quadratic solver.  Both affine projections are one formula: average
-over the symmetry, then shift along the averaged identity until the trace
-is one.
+variant projects onto the trace-one partial-symmetric set of an order-2d
+array, fixed by the swaps of modes k and k + d.  Both affine projections
+are one formula: average over the symmetry, then shift along the averaged
+identity until the trace is one.
 
-A relaxation fixed by a sign flip runs on its diagonal blocks: a
+A relaxation fixed by a group of sign flips runs on its diagonal blocks: a
 (B, s, s) stack, each block's rows padded with zero rows to the largest
 size s (`stack_blocks` and `lift_blocks`).  The spectral operators act
 on every matrix of a stack, with one batched eigendecomposition, and
@@ -27,12 +27,13 @@ L.  `moment_normal` and `partial_normal` give it in closed form.
 
 from __future__ import annotations
 
+import functools
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .matricize import partial_symmetrize
+from .matricize import _leading_factors, partial_symmetrize
 from .tensors import _class_keys, _class_map, _class_of, multinomial
 
 __all__ = [
@@ -293,86 +294,83 @@ def lift_blocks(S: np.ndarray, blocks) -> np.ndarray:
     return out
 
 
-def partial_block_gathers(n: int, m: int, blocks):
+def partial_block_gathers(dims, blocks):
     """Flat gathers that run project_partial_C on a stack of diagonal blocks.
 
-    `blocks` splits the nm rows (row i*m + j for factor indices (i, j)) by
-    the sign of a flip D of the two factors.  Each swap of modes (0, 2)
-    and (1, 3) then maps an entry of a diagonal block to an entry of a
-    diagonal block.  Returns (swap02, swap13, diagonal, padding): the flat
-    stack position of each entry's image under each swap (a padding entry
-    maps to itself), the positions of the nm real diagonal entries, and
-    those of the padding.  ValueError when a swap leaves the blocks, i.e.
-    when no such flip splits the rows this way.
+    `blocks` splits the N = prod(dims) rows by the signs of sign flips of
+    the factors, so each swap of modes (k, k + d) maps an entry of a
+    diagonal block into a diagonal block.  Returns (swaps, diagonal,
+    padding): per swap the flat stack position of each entry's image (a
+    padding entry maps to itself), the N real diagonal entries' positions,
+    and the padding's.  ValueError when a swap leaves the blocks.
     """
     size = max(len(rows) for rows in blocks)
-    block_of = np.full(n * m, -1)
-    position = np.zeros(n * m, dtype=np.intp)
+    block_of = np.full(int(np.prod(dims)), -1)
+    position = np.zeros(block_of.size, dtype=np.intp)
     for b, rows in enumerate(blocks):
         block_of[rows], position[rows] = b, np.arange(len(rows))
     if (block_of < 0).any():
         raise ValueError("blocks must cover every row")
     flat = np.arange(len(blocks) * size * size).reshape(len(blocks), size, size)
-    swap02, swap13 = flat.copy(), flat.copy()
+    swaps = [flat.copy() for _ in dims]
     real = np.zeros(flat.shape, dtype=bool)
+    strides = np.cumprod([1, *dims[:0:-1]])[::-1]
     for b, rows in enumerate(blocks):
-        k = len(rows)
-        i, j = np.divmod(np.asarray(rows)[:, None], m)
-        p, q = np.divmod(np.asarray(rows)[None, :], m)
-        for out, row, col in ((swap02, p * m + j, i * m + q),
-                              (swap13, i * m + q, p * m + j)):
+        k, r = len(rows), np.asarray(rows)
+        for digit, stride, out in zip(np.unravel_index(r, dims), strides, swaps):
+            # row and column trade their index in this mode
+            step = (digit[None, :] - digit[:, None]) * stride
+            row, col = r[:, None] + step, r[None, :] - step
             if (block_of[row] != block_of[col]).any():
-                raise ValueError("the blocks are not fixed by both swaps")
+                raise ValueError("the blocks are not fixed by the swaps")
             out[b, :k, :k] = flat[block_of[row], position[row], position[col]]
         real[b, :k, :k] = True
     diagonal = np.concatenate([flat[b].diagonal()[:len(rows)]
                                for b, rows in enumerate(blocks)])
-    return swap02.ravel(), swap13.ravel(), diagonal, flat[~real]
+    return tuple(s.ravel() for s in swaps), diagonal, flat[~real]
 
 
-def project_partial_C(Z: np.ndarray, n: int, m: int,
-                      gathers=None) -> np.ndarray:
-    """Nearest nm x nm matrix whose tensor is partial-symmetric with unit trace.
+def project_partial_C(Z: np.ndarray, dims, gathers=None) -> np.ndarray:
+    """Nearest N x N matrix whose tensor is partial-symmetric with unit trace.
 
-    The same formula as project_C, X = P(Z) + (1 - tr P(Z)) / tr P(I) * P(I),
-    with P = partial_symmetrize.  Every diagonal position (i, j, i, j) is
-    fixed by both swaps, so P(I) = I and the shift is uniform: average,
-    then move the diagonal by (1 - trace)/(nm).  With the `gathers` of
-    `partial_block_gathers`, Z is the stack of a block-diagonal matrix's
-    blocks, and the result is that of the lifted Z, stacked, with its
-    padding zero.
+    N = prod(dims).  The formula of project_C, X = P(Z) + (1 - tr P(Z)) /
+    tr P(I) * P(I), with P = partial_symmetrize, which fixes I, so the
+    shift is uniform: average, then move the diagonal by (1 - trace)/N.
+    With the `gathers` of `partial_block_gathers`, Z is the stack of a
+    block-diagonal matrix's blocks, and the result is that of the lifted
+    Z, stacked, with its padding zero.
     """
     Z = np.asarray(Z, dtype=float)
-    size = n * m
+    size = int(np.prod(dims))
     if gathers is not None:
-        swap02, swap13, diagonal, padding = gathers
-        if Z.size != swap02.size:
-            raise ValueError(f"expected a stack of {swap02.size} entries, "
+        swaps, diagonal, padding = gathers
+        if Z.size != swaps[0].size:
+            raise ValueError(f"expected a stack of {swaps[0].size} entries, "
                              f"got {Z.shape}")
-        z = Z.ravel()
-        t = 0.5 * (z + z[swap02])
-        x = 0.5 * (t + t[swap13])
+        x = Z.ravel()
+        for swap in swaps:
+            x = 0.5 * (x + x[swap])
         x[diagonal] += (1.0 - float(x[diagonal].sum())) / size
         x[padding] = 0.0
         return x.reshape(Z.shape)
     if Z.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got {Z.shape}")
-    X = partial_symmetrize(Z.reshape(n, m, n, m)).reshape(size, size)
+    X = partial_symmetrize(Z.reshape(*dims, *dims)).reshape(size, size)
     X.flat[::size + 1] += (1.0 - float(np.trace(X))) / size
     return X
 
 
-def partial_normal(u: np.ndarray, n: int, m: int) -> np.ndarray:
-    """T(u) for the partial-symmetric set at u = vec(a b^T), unit a and b.
+def partial_normal(u: np.ndarray, dims) -> np.ndarray:
+    """T(u) for the partial-symmetric set at u = vec(a_1 (x) ... (x) a_d).
 
-    The nm x nm matrix of y -> P(sym(y u^T)) u with P(M) = M -
-    partial_symmetrize(M) + tr(M) I / nm.  On vec(Y) the partial average
-    of sym(y u^T), applied to u, is (Y + (a^T Y b) a b^T + a a^T Y + Y b
-    b^T)/4, so T(u) = (I + u u^T)/4 - (a a^T (x) I + I (x) b b^T)/4 +
-    u u^T / nm.  It vanishes on vec(a v^T) and vec(w b^T), v and w
-    orthogonal to b and a: the tangent directions of the rank-one points.
+    The N x N matrix of y -> P(sym(y u^T)) u, unit a_k, with P(M) = M -
+    partial_symmetrize(M) + tr(M) I / N.  Swapping the modes in a set S
+    maps y u^T, applied to u, to y with each mode in S projected onto its
+    a_k, so averaging over the 2^d sets gives T(u) = (I + u u^T)/2 -
+    (x)_k (I + a_k a_k^T)/2 + u u^T / N.  It vanishes on the tangent
+    directions of the rank-one points.
     """
-    U = np.reshape(u, (n, m))
-    return (0.25 * (np.eye(n * m) + np.outer(u, u))
-            - 0.25 * (np.kron(U @ U.T, np.eye(m)) + np.kron(np.eye(n), U.T @ U))
-            + np.outer(u, u) / (n * m))
+    average = functools.reduce(np.kron, [0.5 * (np.eye(len(a)) + np.outer(a, a))
+                                         for a in _leading_factors(u, dims)])
+    return (0.5 * (np.eye(u.size) + np.outer(u, u)) - average
+            + np.outer(u, u) / u.size)

@@ -19,8 +19,7 @@ from tensorpca import (demo_quartic, poly_quartic, DEMO_QUARTIC_X,
                        rank_one_ratio, random_gaussian, random_uniform,
                        random_partial_symmetric, eval_multilinear,
                        eval_homogeneous, odd_to_even, trilinear_to_biquadratic,
-                       quadrilinear_to_biquadratic, multilinear_embed,
-                       SuperSymmetricTensor)
+                       stack_multilinear, SuperSymmetricTensor)
 
 RANK_TOL = 1e-6
 RHO = 10.0
@@ -177,21 +176,14 @@ def test_criterion_07_reduction_identities_hold_on_probes():
         rhs = float(np.linalg.norm(np.einsum("ijk,i,j->k", F3, x, y))) ** 2
         assert close_rel(lhs, rhs)
 
-    F4 = rng.standard_normal((2, 3, 4, 2))
-    T4 = quadrilinear_to_biquadratic(F4)
-    for _ in range(100):
-        xs = [rng.standard_normal(k) for k in (2, 3, 4, 2)]
-        w = np.concatenate([xs[0], xs[2]])
-        v = np.concatenate([xs[1], xs[3]])
-        assert close_rel(eval_multilinear(T4, [w, v, w, v]),
-                         eval_multilinear(F4, xs))
-
-    for dims in [(2, 3), (2, 2, 3, 2)]:
+    for dims in [(2, 3), (2, 3, 4, 2), (2, 1, 2, 1, 2, 1)]:
         F = rng.standard_normal(dims)
-        T = multilinear_embed(F)
+        T = stack_multilinear(F)
+        d = len(dims) // 2
         for _ in range(100):
             xs = [rng.standard_normal(k) for k in dims]
-            assert close_rel(eval_homogeneous(T, np.concatenate(xs)),
+            us = [np.concatenate([xs[k], xs[k + d]]) for k in range(d)]
+            assert close_rel(eval_multilinear(T, us + us),
                              eval_multilinear(F, xs))
 
     for n, m in [(3, 3), (2, 5)]:

@@ -1,6 +1,6 @@
 """The bi-quadratic routes stop their ADMM once the duality gap closes.
 
-`solve_trilinear`, `solve_quadrilinear` and `tensorpca solve` on partial
+`solve_trilinear`, `solve_multilinear` and `tensorpca solve` on partial
 files call `solve_biquadratic` with `stop_on_gap`: on `run_admm`'s check
 schedule the iterate's read-out is polished and the form there compared
 with the dual bound corrected at vec(x y^T), and the stopped read-out is
@@ -23,7 +23,7 @@ from tensorpca import (SolverConfig, main, random_partial_symmetric,
                        trilinear_to_biquadratic, write_tensor)
 from tensorpca import extensions, extraction
 from tensorpca.admm import _block_eig
-from tensorpca.extensions import biquadratic_form, quadrilinear_to_biquadratic
+from tensorpca.extensions import biquadratic_form, stack_multilinear
 from tensorpca.matricize import _leading_factors
 from tensorpca.projection import stack_blocks
 
@@ -130,6 +130,9 @@ def assert_bitwise_equal(a, b):
         left, right = getattr(a, f.name), getattr(b, f.name)
         if isinstance(left, np.ndarray):
             assert np.array_equal(left, right), f.name
+        elif isinstance(left, tuple):  # a component's blocks
+            assert len(left) == len(right), f.name
+            assert all(map(np.array_equal, left, right)), f.name
         else:
             assert left == right or (left != left and right != right), f.name
 
@@ -190,7 +193,7 @@ def flip_diagonal(n1, n2, n3, n4):
 @pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 4, 2), (1, 2, 1, 1)])
 def test_parity_read_out_recovers_the_value_at_z(dims):
     rng = np.random.default_rng(sum(dims))
-    G = quadrilinear_to_biquadratic(rng.standard_normal(dims))
+    G = stack_multilinear(rng.standard_normal(dims))
     n1, n2, n3, n4 = dims
     xs = [v / np.linalg.norm(v) for v in map(rng.standard_normal, dims)]
     x = np.r_[xs[0], xs[2]] / math.sqrt(2.0)
@@ -200,7 +203,7 @@ def test_parity_read_out_recovers_the_value_at_z(dims):
     X = 0.5 * (np.outer(z, z) + np.outer(D * z, D * z))
     blocks = (np.flatnonzero(D > 0), np.flatnonzero(D < 0))
     v = _block_eig(stack_blocks(X, blocks), blocks)[2]
-    assert biquadratic_form(G, *_leading_factors(v, n1 + n3)) == \
+    assert biquadratic_form(G, *_leading_factors(v, (n1 + n3, n2 + n4))) == \
         pytest.approx(biquadratic_form(G, x, y), rel=1e-12, abs=1e-12)
 
 

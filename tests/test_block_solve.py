@@ -18,7 +18,7 @@ import pytest
 from tensorpca import SolverConfig, random_partial_symmetric, solve_biquadratic
 from tensorpca.admm import Relaxation, _block_eig, certifies, solve
 from tensorpca.extensions import (_mbi_biquadratic, biquadratic_form,
-                                  quadrilinear_to_biquadratic)
+                                  stack_multilinear)
 from tensorpca.matricize import _leading_factors, matr_partial
 from tensorpca.projection import project_partial_C, stack_blocks
 
@@ -36,7 +36,7 @@ def flip_mask(n1, n2, n3, n4):
 
 
 def stacked(dims, seed):
-    return quadrilinear_to_biquadratic(
+    return stack_multilinear(
         np.random.default_rng(seed).standard_normal(dims))
 
 
@@ -53,13 +53,14 @@ def one_block_solve(G, method, odd):
     Y0[p, p] = 1.0
 
     def read_out(X):
-        return _leading_factors(_block_eig(stack_blocks(X, blocks), blocks)[2], n)
+        return _leading_factors(_block_eig(stack_blocks(X, blocks), blocks)[2],
+                                (n, m))
 
-    report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
+    report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, (n, m)), Y0),
                    method, cfg,
                    lambda X, v: (biquadratic_form(G, *read_out(X)), None))
     assert report.values.shape == Gm.shape and not report.certified
-    x, y = _mbi_biquadratic(G, *read_out(report.values), cfg.seed,
+    x, y = _mbi_biquadratic(G, read_out(report.values), cfg.seed,
                             report.bound, cfg.rank_tol)
     value = biquadratic_form(G, x, y)
     return value, certifies(replace(report, extracted_lambda=value),
@@ -152,7 +153,7 @@ def test_without_odd_rows_the_solve_is_the_one_block_relaxation(G, method):
     Y0 = np.zeros_like(Gm)
     p = int(np.argmax(np.diag(Gm)))
     Y0[p, p] = 1.0
-    reference = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0),
+    reference = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, (n, m)), Y0),
                       method, SolverConfig())
     assert report.values.shape == Gm.shape
     assert_bitwise_equal(report, reference, skip=("extracted_lambda",))

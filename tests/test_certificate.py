@@ -146,13 +146,14 @@ def quadrilinear_fallback(cfg, calls):
     # here from the block solve's read-out and bound; the solve's own
     # fallback, when it ran one, is not counted
     dims = (3, 3, 3, 3)
-    G = extensions.quadrilinear_to_biquadratic(quadrilinear())
+    G = extensions.stack_multilinear(quadrilinear())
     i, j = np.divmod(np.arange(36), 6)
     _, report = solve_biquadratic(G, "sdp", cfg,
                                   odd_rows=(i >= dims[0]) != (j >= dims[1]))
     calls.clear()
     x, y = extensions._mbi_biquadratic(
-        G, *_leading_factors(report.extracted_x, dims[0] + dims[2]),
+        G, _leading_factors(report.extracted_x,
+                            (dims[0] + dims[2], dims[1] + dims[3])),
         cfg.seed, report.bound, cfg.rank_tol)
     report = replace(report,
                      extracted_lambda=extensions.biquadratic_form(G, x, y))

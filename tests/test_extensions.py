@@ -5,11 +5,10 @@ import pytest
 
 from tensorpca import (partial_symmetrize, is_partial_symmetric,
                        random_partial_symmetric, solve_biquadratic,
-                       trilinear_to_biquadratic, quadrilinear_to_biquadratic,
-                       multilinear_embed, odd_to_even, solve_trilinear,
-                       solve_quadrilinear, solve_multilinear, solve_leading_pc,
-                       eval_multilinear, eval_homogeneous, random_gaussian,
-                       rank_one, SolverConfig, matr_partial)
+                       trilinear_to_biquadratic, stack_multilinear,
+                       odd_to_even, solve_trilinear, solve_multilinear,
+                       solve_leading_pc, eval_multilinear, eval_homogeneous,
+                       random_gaussian, rank_one, SolverConfig, matr_partial)
 from tensorpca.extensions import _mbi_biquadratic, biquadratic_form
 
 
@@ -113,7 +112,7 @@ def test_trilinear_matches_grid_oracle():
 def test_quadrilinear_identity_and_support():
     rng = np.random.default_rng(4)
     F = rng.standard_normal((2, 3, 4, 2))
-    T = quadrilinear_to_biquadratic(F)
+    T = stack_multilinear(F)
     assert T.shape == (6, 5, 6, 5)
     assert is_partial_symmetric(T, tol=1e-12)[0]
     for _ in range(100):
@@ -132,13 +131,13 @@ def test_quadrilinear_identity_and_support():
 
 def test_quadrilinear_scalar_and_rank_one():
     F = np.full((1, 1, 1, 1), -2.5)
-    comp, _ = solve_quadrilinear(F)
+    comp, _ = solve_multilinear(F)
     assert comp.lambda_star == pytest.approx(2.5, rel=1e-6)
 
     rng = np.random.default_rng(5)
     factors = [rng.standard_normal(k) for k in (2, 3, 2, 3)]
     F = np.einsum("i,j,k,l->ijkl", *factors)
-    comp, _ = solve_quadrilinear(F)
+    comp, _ = solve_multilinear(F)
     expected = float(np.prod([np.linalg.norm(f) for f in factors]))
     assert comp.lambda_star == pytest.approx(expected, rel=1e-5)
     for block, factor in zip(comp.xs, factors):
@@ -163,36 +162,8 @@ def test_quadrilinear_matches_angle_grid():
         if eval_multilinear(F, xs) - previous <= 1e-14:
             break
     value = eval_multilinear(F, xs)
-    comp, _ = solve_quadrilinear(F)
+    comp, _ = solve_multilinear(F)
     assert comp.lambda_star == pytest.approx(value, abs=1e-2)
-
-
-def test_multilinear_embed_hand_example():
-    F = np.zeros((2, 2))
-    F[0, 0] = 1.0
-    T = multilinear_embed(F)
-    assert T.n == 4 and T.m == 2
-    assert T[0, 2] == pytest.approx(0.5)
-    assert T[0, 0] == 0.0 and T[0, 1] == 0.0 and T[2, 3] == 0.0
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        y = rng.standard_normal(4)
-        assert eval_homogeneous(T, y) == pytest.approx(y[0] * y[2], rel=1e-12)
-
-
-def test_multilinear_embed_identity_on_probes():
-    rng = np.random.default_rng(8)
-    for dims in [(2, 3), (2, 2, 2, 2), (2, 1, 2, 1, 2, 1)]:
-        F = rng.standard_normal(dims)
-        T = multilinear_embed(F)
-        assert T.n == sum(dims) and T.m == len(dims)
-        offsets = np.concatenate([[0], np.cumsum(dims)])
-        for _ in range(100):
-            xs = [rng.standard_normal(k) for k in dims]
-            y = np.concatenate(xs)
-            lhs = eval_homogeneous(T, y)
-            rhs = eval_multilinear(F, xs)
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 def test_multilinear_matrix_case_matches_svd():
@@ -206,17 +177,11 @@ def test_multilinear_matrix_case_matches_svd():
     assert abs(abs(float(comp.xs[1] @ vt[0])) - 1.0) < 1e-5
 
 
-def test_multilinear_agrees_with_stacking_route():
-    rng = np.random.default_rng(10)
-    F = rng.standard_normal((2, 2, 2, 2))
-    embed, _ = solve_multilinear(F)
-    stack, _ = solve_quadrilinear(F)
-    assert embed.lambda_star == pytest.approx(stack.lambda_star, abs=1e-3)
-
-
-def test_multilinear_embed_input_checks():
-    with pytest.raises(ValueError):
-        multilinear_embed(np.zeros((2, 2, 2)))
+def test_stack_multilinear_input_checks():
+    with pytest.raises(ValueError, match="even order"):
+        stack_multilinear(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="even order"):
+        solve_leading_pc(np.zeros(()))
 
 
 def test_odd_to_even_trivial_and_rank_one():
@@ -297,10 +262,10 @@ def test_solve_biquadratic_report_consistency():
 @pytest.mark.parametrize("s", [1e-3, 1e3])
 def test_biquadratic_ascent_is_scale_invariant(s):
     rng = np.random.default_rng(22)
-    G = quadrilinear_to_biquadratic(rng.standard_normal((3, 3, 3, 3)))
+    G = stack_multilinear(rng.standard_normal((3, 3, 3, 3)))
     x0, y0 = unit(rng.standard_normal(6)), unit(rng.standard_normal(6))
-    x, y = _mbi_biquadratic(G, x0, y0, seed=0)
-    xs, ys = _mbi_biquadratic(s * G, x0, y0, seed=0)
+    x, y = _mbi_biquadratic(G, (x0, y0), seed=0)
+    xs, ys = _mbi_biquadratic(s * G, (x0, y0), seed=0)
     assert biquadratic_form(s * G, xs, ys) / s == pytest.approx(
         biquadratic_form(G, x, y), rel=1e-12)
 

@@ -258,10 +258,10 @@ def test_cli_solve_prints_bound_and_gap(tmp_path, capsys, extra, expected):
     (["--kind", "general", "--n", "4", "--order", "3"], "sdp", 0),
     (["--kind", "general", "--n", "3"], "sdp", 0),             # stacked
     (["--kind", "general", "--n", "3", "--order", "2"], "sdp", 0),
-    (["--kind", "general", "--n", "1", "--order", "6"], "nnp", 2),
+    (["--kind", "general", "--n", "1", "--order", "6"], "nnp", 0),
     (["--kind", "partial_symmetric", "--n", "3", "--m", "4"], "sdp", 0)],
-    ids=["symmetric", "odd", "trilinear", "quadrilinear", "embedded-2",
-         "embedded-6", "biquadratic"])
+    ids=["symmetric", "odd", "trilinear", "quadrilinear", "stacked-2",
+         "stacked-6", "biquadratic"])
 def test_cli_bound_is_on_the_scale_of_lambda(tmp_path, capsys, gen, method,
                                              expected):
     # every reduction maps the solve's bound back onto the printed lambda:

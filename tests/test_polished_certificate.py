@@ -40,8 +40,8 @@ def partial_relaxation(G):
     Gm = matr_partial(G)
     Y0 = np.zeros_like(Gm)
     Y0[0, 0] = 1.0
-    return Relaxation(Gm, lambda Z: project_partial_C(Z, n, m), Y0,
-                      normal=lambda u: partial_normal(u, n, m))
+    return Relaxation(Gm, lambda Z: project_partial_C(Z, (n, m)), Y0,
+                      normal=lambda u: partial_normal(u, (n, m)))
 
 
 def shifted_partial(n, m, seed):

@@ -153,9 +153,9 @@ def test_project_C_property(case):
 @given(partial_case())
 def test_project_partial_C_property(case):
     Z, n, m = case
-    X = project_partial_C(Z, n, m)
+    X = project_partial_C(Z, (n, m))
     np.testing.assert_allclose(X, kkt_project_partial(Z, n, m), atol=1e-8)
-    assert np.max(np.abs(project_partial_C(X, n, m) - X)) <= 1e-12
+    assert np.max(np.abs(project_partial_C(X, (n, m)) - X)) <= 1e-12
 
 
 def moment_basis(n, d):
@@ -239,7 +239,7 @@ def test_project_partial_C_output_is_feasible():
     for n, m in [(2, 2), (3, 4)]:
         for _ in range(10):
             Z = rng.standard_normal((n * m, n * m))
-            X = project_partial_C(Z, n, m)
+            X = project_partial_C(Z, (n, m))
             assert abs(float(np.trace(X)) - 1.0) <= 1e-12
             ok, violation = is_partial_symmetric(X.reshape(n, m, n, m))
             assert ok, violation
@@ -251,7 +251,7 @@ def test_project_partial_C_agrees_with_kkt_reference():
     for n, m in [(2, 2), (2, 3), (3, 4)]:
         for _ in range(10):
             Z = rng.standard_normal((n * m, n * m))
-            np.testing.assert_allclose(project_partial_C(Z, n, m),
+            np.testing.assert_allclose(project_partial_C(Z, (n, m)),
                                        kkt_project_partial(Z, n, m), atol=1e-8)
 
 
@@ -259,7 +259,7 @@ def test_projection_shape_checks():
     with pytest.raises(ValueError):
         project_C(np.zeros((3, 3)), 2, 2)
     with pytest.raises(ValueError):
-        project_partial_C(np.zeros((5, 5)), 2, 3)
+        project_partial_C(np.zeros((5, 5)), (2, 3))
     with pytest.raises(ValueError):
         project_moment_C(np.zeros((4, 4)), 2, 2)
 
@@ -314,7 +314,7 @@ def flip_blocks(n1, n2, n3, n4):
 def test_block_projection_is_the_dense_projection_of_the_blocks(dims):
     n, m = dims[0] + dims[2], dims[1] + dims[3]
     blocks = flip_blocks(*dims)
-    gathers = partial_block_gathers(n, m, blocks)
+    gathers = partial_block_gathers((n, m), blocks)
     rng = np.random.default_rng(sum(dims))
     for _ in range(5):
         # a block-diagonal Z, and its stack with noise in the padding
@@ -323,8 +323,8 @@ def test_block_projection_is_the_dense_projection_of_the_blocks(dims):
         stack = stack_blocks(Z, blocks)
         for b, rows in enumerate(blocks):
             stack[b, len(rows):, :] = stack[b, :, len(rows):] = 1.0
-        X = project_partial_C(stack, n, m, gathers)
-        dense = project_partial_C(Z, n, m)
+        X = project_partial_C(stack, (n, m), gathers)
+        dense = project_partial_C(Z, (n, m))
         np.testing.assert_allclose(lift_blocks(X, blocks), dense,
                                    rtol=0, atol=1e-15)
         for b, rows in enumerate(blocks):
@@ -336,9 +336,9 @@ def test_block_projection_refuses_blocks_no_flip_gives():
     with pytest.raises(ValueError, match="swaps"):
         # no sign flip of x and y negates row (1, 1) alone: swapping modes
         # (0, 2) takes entry ((0, 1), (1, 0)) to ((1, 1), (0, 0))
-        partial_block_gathers(2, 2, (np.array([0, 1, 2]), np.array([3])))
+        partial_block_gathers((2, 2), (np.array([0, 1, 2]), np.array([3])))
     with pytest.raises(ValueError, match="every row"):
-        partial_block_gathers(2, 2, (np.array([0, 3]), np.array([1])))
-    gathers = partial_block_gathers(2, 2, flip_blocks(1, 1, 1, 1))
+        partial_block_gathers((2, 2), (np.array([0, 3]), np.array([1])))
+    gathers = partial_block_gathers((2, 2), flip_blocks(1, 1, 1, 1))
     with pytest.raises(ValueError, match="stack"):
-        project_partial_C(np.zeros((4, 4)), 2, 2, gathers)
+        project_partial_C(np.zeros((4, 4)), (2, 2), gathers)
