@@ -210,8 +210,49 @@ EARLY_CHECKS = (2, 4, 8)
 GAP_CHECK_START = 1e-2
 
 
+def _change(X: np.ndarray, X_prev: np.ndarray) -> float:
+    # run_admm's relative change of X
+    return float(np.linalg.norm(X - X_prev)) / float(np.linalg.norm(X_prev))
+
+
+def _drift_steps(Q: np.ndarray, zero: np.ndarray, band, limit: int) -> int:
+    # the largest s <= limit whose Q + s*zero has its spectrum strictly
+    # inside band = (lo, hi), 0 when Q's is not.  zero is PSD, so no
+    # eigenvalue falls along the line, and with hi I - Q = L L^T the
+    # spectrum is below hi while t lambda_max(L^-1 zero L^-T) < 1.  One
+    # Cholesky (two with a finite lo) and one eigvalsh, batched over a stack
+    lo, hi = band
+    eye = np.eye(Q.shape[-1])
+    try:
+        L = np.linalg.cholesky(hi * eye - Q)
+        if lo > -math.inf:
+            np.linalg.cholesky(Q - lo * eye)
+    except np.linalg.LinAlgError:
+        return 0
+    half = np.linalg.solve(L, zero)
+    M = np.linalg.solve(L, half.swapaxes(-1, -2))
+    top = float(np.max(np.linalg.eigvalsh(M)[..., -1]))
+    if top * limit < 1.0:
+        return limit
+    return math.ceil(1.0 / top) - 1
+
+
+def _passed_schedule(check_at: float, sums, first: int, skip: int,
+                     early) -> float:
+    # check_at after the gap-check schedule of the iterations first, ...,
+    # first + skip - 1, whose rel + primal are sums[0], sums[1], then
+    # sums[2] at every later one: an iteration early lists, or one whose
+    # sum is at most check_at, sets check_at to at most half its sum.  The
+    # later ones share a sum, so the first of them that does so decides
+    for j, total in enumerate(sums[:skip]):
+        last = first + j if j < 2 else first + skip - 1
+        if total <= check_at or any(first + j <= k <= last for k in early):
+            check_at = min(check_at, 0.5 * total)
+    return check_at
+
+
 def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
-             *, stop=None, early=()):
+             *, stop=None, early=(), band=None):
     """The splitting loop shared by all drivers, as an accelerated fixed point.
 
     With Lam the multiplier, X-update X = project(Y + mu*Lam) and Y-update
@@ -231,6 +272,23 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
     predecessor's is replaced by the plain step from that predecessor and
     the memory is cleared (the safeguard of Zhang, O'Donoghue & Boyd, SIAM
     J. Optim. 2020, as in SCS).
+
+    `band` = (lo, hi), when given, is where the prox is zero: prox(Q) is
+    all-zero exactly when Q's spectrum lies in [lo, hi].  There the map is
+    an affine drift that needs no prox.  Write project(Z) = P_L(Z) + Z0,
+    Z0 = project(0) and P_L the projection onto the set's directions: a
+    step at Y = 0 sets P_L(Q) = P_L(mu*C), after which X = Z0 and Q gains
+    Z0, which is PSD, at every step until the spectrum leaves the band.
+    So at the first all-zero Y of a run of them, after the step, Q jumps
+    by s*Z0 with s the last step still strictly inside the band
+    (`_drift_steps`), X and X_prev become those the s plain steps give,
+    the s steps count as iterations, and the memory is cleared as after a
+    safeguard reset.  The jump stops short of cfg.max_iter and of any
+    iteration the tolerance would stop, advances the check schedule as
+    the steps passed over would have, and is tried once per run of zero
+    Ys; the loop then goes on as before.  It needs hi*I - Q positive
+    definite, so sdp (hi = 0) does not jump where Q has exact zero rows,
+    the padding of a block stack.
 
     Stops when ||X_k - X_{k-1}||_F / ||X_{k-1}||_F + ||X_k - Y_k||_F <= tol,
     with X_0 = Y0, or at iteration cfg.max_iter.  Every X_{k-1} has trace
@@ -260,9 +318,16 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
     Q = X + mu_C
     extrapolated, last_residual = False, np.inf
     check_at = GAP_CHECK_START
-    for iteration in itertools.count(1):
+    jumped = False  # the jump was tried in this run of all-zero Ys
+    iteration = 0
+    while True:
+        iteration += 1
         Y = prox(Q)
-        rel = float(np.linalg.norm(X - X_prev)) / float(np.linalg.norm(X_prev))
+        # the first entry answers for almost every nonzero Y, at a
+        # twentieth of the cost of any() on every iteration
+        idle = not (Y.item(0) or Y.any())
+        jumped = jumped and idle
+        rel = _change(X, X_prev)
         primal = float(np.linalg.norm(X - Y))
         if rel + primal <= cfg.tol or iteration == cfg.max_iter:
             return (X, Y, iteration, rel, primal, rel + primal <= cfg.tol,
@@ -270,7 +335,7 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
         if stop is not None and (rel + primal <= check_at
                                  or iteration in early):
             check_at = min(check_at, 0.5 * (rel + primal))
-            if Y.any():
+            if not idle:
                 mu_lam = Y - Q + mu_C
                 if stop(X, mu_lam):
                     return X, Y, iteration, rel, primal, True, mu_lam
@@ -284,6 +349,29 @@ def run_admm(project, prox, C: np.ndarray, Y0: np.ndarray, cfg: SolverConfig,
             anchor = None
             continue
         plain = Q + step
+        if idle and band is not None and not jumped:
+            jumped = True
+            zero = project(np.zeros_like(Q))
+            # rel + primal at the iterations passed over: the first, the
+            # second, then every later one alike.  The jump stops short of
+            # the cap and of the first that meets tol, and each it passes
+            # takes its turn in the check schedule
+            norm = float(np.linalg.norm(zero))
+            sums = (_change(X_next, X) + float(np.linalg.norm(X_next)),
+                    _change(zero, X_next) + norm, norm)
+            limit = min([cfg.max_iter - iteration - 1]
+                        + [j for j, s in enumerate(sums) if s <= cfg.tol])
+            skip = _drift_steps(plain, zero, band, limit)
+            check_at = _passed_schedule(check_at, sums, iteration + 1, skip,
+                                        early)
+            if skip > 0:
+                iteration += skip
+                Q = plain + skip * zero
+                X_prev, X = (X_next if skip == 1 else zero), zero
+                extrapolated = False
+                pairs = slot = 0
+                anchor = None
+                continue
         if anchor is not None:
             dF[slot] = plain.ravel() - anchor[0]
             dG[slot] = g - anchor[1]
@@ -510,18 +598,24 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     none more for the report), and when u is given its extracted_lambda is
     the value and its extracted_x u (lifted to length n**d in moment
     coordinates).  `run_admm` skips the checks at an all-zero Y, nnp's
-    shrinkage phase.
+    shrinkage phase, and jumps across that phase in closed form: `solve`
+    hands it the band where the prox is zero, [-mu*rho, mu*rho] for nnp
+    and (-inf, 0] for sdp, and `iterations` counts the steps jumped over.
     """
     C = problem.C
     if not C.any():
         raise ValueError("zero tensor is degenerate")
     # both look their operator up on this module at call time, where
-    # benchmarks/tracer.py times it
+    # benchmarks/tracer.py times it, and return an all-zero Y exactly when
+    # Q's spectrum lies in their band, which run_admm jumps across
     if method == "sdp":
+        band = (-math.inf, 0.0)
+
         def prox(Q):
             return project_psd(Q)
     elif method == "nnp":
         tau = cfg.mu * cfg.rho
+        band = (-tau, tau)
 
         def prox(Q):
             return shrink_nuclear(Q, tau)
@@ -538,7 +632,7 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
             return closes_gap(bound, val, cfg.rank_tol)
     X, _, iterations, rel, primal, stopped, mu_lam = run_admm(
         problem.project, prox, C, problem.start, cfg, stop=stop,
-        early=EARLY_CHECKS if problem.normal is not None else ())
+        early=EARLY_CHECKS if problem.normal is not None else (), band=band)
     termination = ("converged" if rel + primal <= cfg.tol
                    else "gap" if stopped else "iter_cap")
     if termination == "gap":

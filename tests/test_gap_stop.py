@@ -5,9 +5,10 @@ iterations EARLY_CHECKS lists, from rel + primal <= GAP_CHECK_START, and
 each time that sum halves, the read-out of the iterate is polished by
 safeguarded Newton steps and compared with the dual bound corrected at
 it, and the solve stops once it closes the gap.  A check whose prox output
-Y is zero (nnp's shrinkage phase) is skipped.  `extract` returns that
-polished read-out, and the report reuses the last check's
-eigendecomposition.  Direct solver calls keep running to convergence.
+Y is zero (nnp's shrinkage phase, which `run_admm` mostly jumps over) is
+skipped.  `extract` returns that polished read-out, and the report reuses
+the last check's eigendecomposition.  Direct solver calls keep running to
+convergence.
 """
 
 import functools
@@ -135,17 +136,26 @@ TOLS = (1e-6, 1e-9, 1e-2)
 
 
 def spy_prox(monkeypatch, method):
-    # whether each prox output Y was nonzero, one entry per call through
-    # the lookup site on admm that benchmarks/tracer.py times
+    # whether each iteration's prox output Y was nonzero: True or False
+    # per call through the lookup site on admm that benchmarks/tracer.py
+    # times, and None per iteration a jump across the prox's zero band
+    # passed over (`admm._drift_steps`), where Y is zero and no call runs
     nonzero = []
     real = getattr(admm, PROX[method])
+    drift = admm._drift_steps
 
     def spy(*args):
         Y = real(*args)
         nonzero.append(bool(Y.any()))
         return Y
 
+    def jump(*args):
+        skip = drift(*args)
+        nonzero.extend([None] * skip)
+        return skip
+
     monkeypatch.setattr(admm, PROX[method], spy)
+    monkeypatch.setattr(admm, "_drift_steps", jump)
     return nonzero
 
 
@@ -225,15 +235,16 @@ def record_runs(monkeypatch):
     runs = []
     nonzero = spy_prox(monkeypatch, "nnp")
 
-    def run(project, prox, C, Y0, cfg, *, stop=None, early=()):
+    def run(project, prox, C, Y0, cfg, *, stop=None, early=(), band=None):
         checked = []
 
         def counted(X, mu_lam):
             checked.append(len(nonzero))
             return stop(X, mu_lam)
 
-        runs.append(((project, prox, C, Y0, cfg), stop, early, checked))
-        return real(project, prox, C, Y0, cfg, stop=counted, early=early)
+        runs.append(((project, prox, C, Y0, cfg), stop, early, checked, band))
+        return real(project, prox, C, Y0, cfg, stop=counted, early=early,
+                    band=band)
 
     monkeypatch.setattr(admm, "run_admm", run)
     return runs, nonzero, real
@@ -249,9 +260,10 @@ def test_nnp_skips_only_checks_at_a_zero_y_that_would_not_close(monkeypatch,
         nonzero.clear()
         F = random_gaussian(n, m, seed)
         pc, report = solve_leading_pc(F, "nnp")
-        ((args, stop, early, checked),) = runs
+        ((args, stop, early, checked, band),) = runs
         assert report.termination == "gap" and pc.certified
-        # one prox call per iteration, skipped checks included
+        # one prox call per iteration that no jump passed over, skipped
+        # checks included
         assert len(nonzero) == report.iterations
         assert all(nonzero[k - 1] for k in checked)
         # each early iteration without a check had Y == 0, and the check
@@ -262,7 +274,8 @@ def test_nnp_skips_only_checks_at_a_zero_y_that_would_not_close(monkeypatch,
             skips += 1
             assert not nonzero[k - 1]
             X, Y, _, _, _, _, mu_lam = run_admm(*args[:4],
-                                                replace(args[4], max_iter=k))
+                                                replace(args[4], max_iter=k),
+                                                band=band)
             assert not Y.any()
             assert not stop(X, mu_lam)
     assert skips >= 4
@@ -271,7 +284,8 @@ def test_nnp_skips_only_checks_at_a_zero_y_that_would_not_close(monkeypatch,
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
 def test_the_prox_runs_once_per_iteration_through_admm(monkeypatch, method):
     # benchmarks/tracer.py counts projection.*.calls at these lookup sites,
-    # so a skipped check must neither drop nor repeat a prox call
+    # so a skipped check must neither drop nor repeat a prox call: the
+    # prox calls plus the iterations jumped over are the iterations
     nonzero = spy_prox(monkeypatch, method)
     solves = [lambda: solve_leading_pc(random_gaussian(6, 4, 1), method),
               lambda: solve_biquadratic(random_partial_symmetric(4, 6, 10),
@@ -280,8 +294,11 @@ def test_the_prox_runs_once_per_iteration_through_admm(monkeypatch, method):
         nonzero.clear()
         _, report = run()
         assert report.termination == "gap"
-        assert len(nonzero) == report.iterations
-        # nnp reaches its early checks with Y == 0, and skips them
+        jumped = nonzero.count(None)
+        calls = len(nonzero) - jumped
+        assert calls + jumped == report.iterations
+        # nnp jumps over its early checks, where Y == 0, and skips them
+        assert (jumped > 0) == (method == "nnp")
         assert (not nonzero[EARLY_CHECKS[0] - 1]) == (method == "nnp")
 
 
