@@ -3,8 +3,10 @@
 The public surface re-exported here covers canonical symmetric storage,
 square matricization, the feasible-set projections, the ADMM solvers for
 the nuclear-norm-penalized and SDP relaxations, component extraction with
-rank-one certification, the partial-symmetric relaxation every dense array
-reduces to, the brute-force oracles, file I/O, and the experiment harness.
+its certificate (lambda is certified iff the iteration cap did not stop
+the solve and bound - lambda <= rank_tol * |bound|), the partial-symmetric
+relaxation every dense array reduces to, the brute-force oracles, file
+I/O, and the experiment harness.
 """
 
 from .tensors import (SuperSymmetricTensor, canonical_index, class_size,

@@ -2,8 +2,8 @@
 
 A `Relaxation` describes a problem: its cost matrix, the projection onto
 its trace-one affine set and a feasible rank-one start.  `solve` runs it
-and reports on X, rank-one certificate included.  `solve_nnp` and
-`solve_sdp` build the symmetric-tensor description and recover x; the
+and reports on X, its dual bound included.  `solve_nnp` and `solve_sdp`
+build the symmetric-tensor description and recover x; the
 partial-symmetric one is in `extensions`.  This module sits above
 matricize/projection and below extraction.
 
@@ -71,9 +71,11 @@ class SolverConfig:
 
     rho is the nuclear-norm penalty weight (penalized model only), mu the
     splitting parameter, tol the stopping threshold on relative change plus
-    primal residual, rank_tol the rank-one certification threshold on
-    sigma_2/sigma_1, and seed draws the random restarts of the block-ascent
-    fallbacks that run when a solve is not certified.
+    primal residual, rank_tol the certificate's tolerance (lambda is
+    certified iff the iteration cap did not stop the solve and bound -
+    lambda <= rank_tol * |bound|, `certifies`) and the rank_one statistic's
+    threshold on sigma_2/sigma_1, and seed draws the random restarts of the
+    block-ascent fallbacks that run when a solve is not certified.
     """
     rho: float = 10.0
     mu: float = 0.5
@@ -88,8 +90,8 @@ class SolverConfig:
             raise ValueError("rho, mu, tol and rank_tol must be finite")
         if min(floats) <= 0:
             raise ValueError("rho, mu, tol and rank_tol must be positive")
-        # sigma_2/sigma_1 <= 1 always, so a rank_tol of 1 would certify
-        # every X as rank one, and every value >= 0 under a positive bound
+        # a rank_tol of 1 would certify every value >= 0 under a positive
+        # bound, and flag every X rank one (sigma_2/sigma_1 <= 1 always)
         if self.tol >= 1.0 or self.rank_tol >= 1.0:
             raise ValueError("tol and rank_tol must be below 1")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
@@ -107,30 +109,30 @@ class SolveReport:
     read out of X closed the gap to the bound at X (only when the caller
     asked for it, as `extraction.solve_even_order` and the bi-quadratic
     routes of `extensions` do; see `solve`), and "iter_cap"
-    when cfg.max_iter ran out first.  certified: the rank-one certificate,
-    the solve converged and rank_one_ratio <= cfg.rank_tol.  On a relaxation
-    solved in diagonal blocks (`Relaxation.blocks`) rank_one_ratio is the
-    largest ratio of a block, so certified means every block is rank one,
-    and extracted_x is the unit read-out z = sum_b sqrt(l_b) u_b of the
-    blocks' top eigenpairs instead of the leading eigenvector.  bound:
-    lambda_max(C + S) - <S, X>, an upper bound on the relaxation and so on
-    the form's maximum, valid at any iterate (nan for a bare matrix, which
-    has no multiplier).  S is the last multiplier projected onto the
-    complement of L; on a "gap" stop whose route gave a rank-one point,
-    the bound is the smaller of that and the bound at S plus the
-    correction that makes the point an eigenvector of C + S, and
-    extracted_lambda and extracted_x are that check's polished value and
-    point.  extracted_lambda is the value the route returns
-    on this relaxation's form, the refinement's or the fallback's when one
-    ran, and gap = bound - extracted_lambda.  A returned value is certified
-    by `certifies`: rank one at a converged iterate, or a closed gap at an
-    iterate the cap did not stop.  A "gap" iterate's objective is that of
-    an unconverged X, about rel_change + primal_residual from the optimum.
-    A feasible X of the symmetric relaxation is fixed by one value per
-    2d-class, so when `moment` holds its (n, d) the report keeps those S =
-    C(n+2d-1, 2d) `values` and `X` lifts them to n**d x n**d when read.
-    When `moment` is None (the bi-quadratic relaxation) `values` is X
-    itself, the N x N matrix, cross-block zeros included, when the solve
+    when cfg.max_iter ran out first.  rank_one: the paper's statistic, the
+    solve converged and rank_one_ratio <= cfg.rank_tol; it certifies
+    nothing.  On a relaxation solved in diagonal blocks
+    (`Relaxation.blocks`) rank_one_ratio is the largest ratio of a block,
+    so rank_one means every block is rank one, and extracted_x is the unit
+    read-out z = sum_b sqrt(l_b) u_b of the blocks' top eigenpairs instead
+    of the leading eigenvector.  bound: lambda_max(C + S) - <S, X>, an
+    upper bound on the relaxation and so on the form's maximum, valid at
+    any iterate (nan for a bare matrix, which has no multiplier).  S is the
+    last multiplier projected onto the complement of L; on a "gap" stop
+    whose route gave a rank-one point, the bound is the smaller of that and
+    the bound at S plus the correction that makes the point an eigenvector
+    of C + S, and extracted_lambda and extracted_x are that check's
+    polished value and point.  extracted_lambda is the value the route
+    returns on this relaxation's form, the refinement's or the fallback's
+    when one ran, and gap = bound - extracted_lambda.  That value is
+    certified iff the iteration cap did not stop the solve and gap <=
+    rank_tol * |bound| (`certifies`).  A "gap" iterate's objective is that
+    of an unconverged X, about rel_change + primal_residual from the
+    optimum.  A feasible X of the symmetric relaxation is fixed by one
+    value per 2d-class, so when `moment` holds its (n, d) the report keeps
+    those S = C(n+2d-1, 2d) `values` and `X` lifts them to n**d x n**d when
+    read.  When `moment` is None (the bi-quadratic relaxation) `values` is
+    X itself, the N x N matrix, cross-block zeros included, when the solve
     ran in blocks.
     """
     objective: float
@@ -143,7 +145,7 @@ class SolveReport:
     extracted_lambda: float
     extracted_x: np.ndarray
     termination: str  # "converged" | "gap" | "iter_cap"
-    certified: bool
+    rank_one: bool
     bound: float = math.nan
     values: np.ndarray = field(repr=False, default=None)
     moment: Optional[Tuple[int, int]] = field(repr=False, default=None)
@@ -456,7 +458,7 @@ def _summarize(X: np.ndarray, C: np.ndarray, rank_tol: float,
         iterations=iterations, primal_residual=primal, rel_change=rel,
         rank_one_ratio=ratio, neg_eig_mass=float(-np.sum(w[w < 0.0])),
         extracted_lambda=objective, extracted_x=v, termination=termination,
-        certified=bool(termination == "converged" and ratio <= rank_tol),
+        rank_one=bool(termination == "converged" and ratio <= rank_tol),
         bound=bound,
         values=values, moment=moment)
 
@@ -478,19 +480,16 @@ def closes_gap(bound: float, value: float, rank_tol: float) -> bool:
 
 
 def certifies(report: SolveReport, rank_tol: float) -> bool:
-    """The certificate of the value a route returns, report.extracted_lambda.
+    """The one certificate of a route's value, report.extracted_lambda.
 
-    X is rank one at a converged iterate, or the value closes the gap to
-    the report's bound (`closes_gap`) at an iterate that convergence or
-    the gap stop ended.  On a gap stop that bound was corrected at the
-    polished read-out (`solve`), so it certifies that read-out.  An
-    iteration cap certifies nothing, closed gap or not.
+    The value closes the gap to the report's bound (`closes_gap`) at an
+    iterate that convergence or the gap stop ended.  On a gap stop that
+    bound was corrected at the polished read-out (`solve`), so it
+    certifies that read-out.  An iteration cap certifies nothing, closed
+    gap or not, and a rank-one X certifies nothing by itself.
     """
-    if report.termination == "iter_cap":
-        return False
-    return ((report.termination == "converged"
-             and report.rank_one_ratio <= rank_tol)
-            or closes_gap(report.bound, report.extracted_lambda, rank_tol))
+    return (report.termination != "iter_cap"
+            and closes_gap(report.bound, report.extracted_lambda, rank_tol))
 
 
 def _multiplier(problem: Relaxation, Z: np.ndarray,

@@ -119,10 +119,11 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     relaxation maximizes tr(matr_partial(G) X) over trace-one N x N
     matrices with a partial-symmetric tensor, PSD for "sdp" and with a
     nuclear-norm penalty for "nnp".  Successive SVDs of a rank-one
-    solution's leading eigenvector give the unit blocks.  A read-out the
-    rank-one certificate does not cover is polished
-    (`admm.polish_biquadratic`), and one whose value does not close the
-    gap to the solve's bound either (`admm.certifies`) falls back to
+    solution's leading eigenvector give the unit blocks.  A read-out that
+    a gap stop did not polish already is polished
+    (`admm.polish_biquadratic`).  Its value lambda is certified iff the
+    iteration cap did not stop the solve and bound - lambda <= rank_tol *
+    |bound| (`admm.certifies`); an uncertified one falls back to
     alternating eigenvector ascent with restarts.
 
     With stop_on_gap the ADMM also stops once the polished read-out closes
@@ -133,10 +134,11 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     for another shape or dtype, or when the form couples two classes).  X
     is then block-diagonal over the classes and never rank one as a whole,
     so the ADMM runs on the stack of its diagonal blocks
-    (`Relaxation.blocks`), and the report certifies each as rank one.  The
-    read-out is z = sum_b +-sqrt(l_b) u_b from each block's top eigenpair,
-    signed for the largest value; the checks compare it unpolished with
-    the uncorrected bound, and the stopped read-out is polished once.
+    (`Relaxation.blocks`), and the report's rank_one tests each block for
+    rank one.  The read-out is z = sum_b +-sqrt(l_b) u_b from each block's
+    top eigenpair, signed for the largest value; the checks compare it
+    unpolished with the uncorrected bound, and the stopped read-out is
+    polished once.
 
     Returns
     -------
@@ -189,13 +191,11 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     report = solve(problem, method, cfg, value)
     xs = (checked if report.termination == "gap"
           else _best_factors(Gm, report.extracted_x, dims, choices)[1])
-    polished = report.termination == "gap" and blocks is None
-    if not (report.certified or polished):
+    if not (report.termination == "gap" and blocks is None):
         *xs, _ = polish_biquadratic(G, *xs)
-        if not certifies(replace(report,
-                                 extracted_lambda=biquadratic_form(G, *xs)),
-                         cfg.rank_tol):
-            xs = _mbi_biquadratic(G, xs, cfg.seed, report.bound, cfg.rank_tol)
+    if not certifies(replace(report, extracted_lambda=biquadratic_form(G, *xs)),
+                     cfg.rank_tol):
+        xs = _mbi_biquadratic(G, xs, cfg.seed, report.bound, cfg.rank_tol)
     # the form is even in each block: every sign is a tie
     xs = tuple(_canonical_sign(x) for x in xs)
     report = replace(report, extracted_lambda=biquadratic_form(G, *xs))
@@ -282,8 +282,9 @@ def solve_multilinear(F: np.ndarray, method: str = "sdp",
 
     u_k = (x_k; x_{k+d}) (`stack_multilinear`), solved in the 2^(d-1)
     diagonal blocks of the flips that fix the stacked form, where
-    `report.certified` tests each block for rank one.  The solve stops on
-    the duality gap (`stop_on_gap`).
+    `report.rank_one` tests each block for rank one.  The solve stops on
+    the duality gap (`stop_on_gap`), and the component is certified by
+    `admm.certifies` at the stacked form's value.
     """
     F = np.asarray(F, dtype=float)
     comp, report = solve_biquadratic(stack_multilinear(F), method, cfg,

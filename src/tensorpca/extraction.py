@@ -1,8 +1,8 @@
 """Turning a solve into a tensor principal component.
 
-Reads the certificate of a solve, polishes a converged value the duality
-gap certifies by `admm.newton_refine` (a gap stop's value is polished
-already), refines solutions that miss the certificate by
+Polishes the read-out of a converged solve by `admm.newton_refine` (a gap
+stop's value is polished already), certifies its value by
+`admm.certifies`, refines solutions that miss the certificate by
 block-coordinate ascent, deflates, and runs the even-order step of
 `extensions.solve_leading_pc`: solve, extract, fall back.  Both fallbacks
 restart by `_ascend_with_restarts`, best of the read-out point and RESTARTS
@@ -20,9 +20,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from . import admm
-from .admm import (SolveReport, SolverConfig, _recover_symmetric, _summarize,
-                   certifies, closes_gap, newton_refine)
-from .matricize import is_super_symmetric, matr, matr_inv
+from .admm import (SolveReport, SolverConfig, certifies, closes_gap,
+                   newton_refine)
 from .matricize import rank_one_ratio  # noqa: F401  lookup site in benchmarks/tracer.py
 from .projection import _moment_tables
 from .tensors import (SuperSymmetricTensor, _as_dense, _fix_sign, _unit,
@@ -57,7 +56,11 @@ class PrincipalComponent:
 
 @dataclass(frozen=True)
 class NotRankOne:
-    """Structured non-result: the matrix missed the rank-one certificate."""
+    """Structured non-result: the solve's value missed the certificate.
+
+    ratio and spectrum describe the solve's X, the paper's rank-one
+    statistic; neither decided the certificate.
+    """
     ratio: float
     spectrum: np.ndarray
 
@@ -82,45 +85,32 @@ class MbiResult:
     converged: bool
 
 
-def extract(F: SuperSymmetricTensor, solution, rank_tol: float = SolverConfig.rank_tol
+def extract(F: SuperSymmetricTensor, report: SolveReport,
+            rank_tol: float = SolverConfig.rank_tol
             ) -> Union[PrincipalComponent, NotRankOne]:
-    """Recover (lambda*, x*) for the even-order F from a solve or a matrix.
+    """Recover (lambda*, x*) for the even-order F from a solve of it.
 
-    `solution` is a report of solve_nnp or solve_sdp, or a bare matrix,
-    which must be feasible for the trace-one symmetric set and counts as a
-    converged point without a bound.  Either is certified by
-    `admm.certifies` with `rank_tol`: X rank one at a converged point, or
-    the read-out value within rank_tol of the dual bound at a point the
-    iteration cap did not stop.  A report's X is a projection output, so
-    it is not checked again: an absolute trace test fails on the rounding
-    of a large-norm tensor's capped iterate.  A certified solution gives
-    the x read off its leading eigenvector and lambda* = F(x).  A gap stop
-    certified the polished read-out of its last check, which the report
-    carries, so that x is returned as it is.  A converged solve whose
-    rank-one certificate does not hold has only the gap to vouch for its
-    x, to about rank_tol, and `newton_refine` polishes it first.
-    Otherwise a NotRankOne carrying the spectrum is returned.
+    `report` is a report of solve_nnp or solve_sdp (TypeError for anything
+    else: a bare matrix has no dual bound, so nothing could certify it).
+    A gap stop carries the polished read-out of its last check, and a
+    converged solve's x is polished by `newton_refine` first.  lambda* =
+    F(x) is certified iff the iteration cap did not stop the solve and
+    bound - lambda* <= rank_tol * |bound| (`admm.certifies`), and the
+    certified PrincipalComponent is returned.  Otherwise a NotRankOne
+    carrying X's rank-one ratio and spectrum is returned.
     """
+    if not isinstance(report, SolveReport):
+        raise TypeError("extract takes a SolveReport of solve_nnp or solve_sdp")
     if F.m % 2:
         raise ValueError("extraction needs an even order")
-    if isinstance(solution, SolveReport):
-        report = solution
-    else:
-        X = np.asarray(solution, dtype=float)
-        if abs(float(np.trace(X)) - 1.0) > 1e-8:
-            raise ValueError("X is infeasible: trace is not one")
-        ok, violation = is_super_symmetric(matr_inv(X, F.n, F.m // 2), tol=1e-8)
-        if not ok:
-            raise ValueError(
-                f"X is infeasible: symmetry violated by {violation:.3e}")
-        report = _recover_symmetric(F, _summarize(X, matr(F), rank_tol))
+    if report.termination == "converged":
+        x = newton_refine(F, report.extracted_x)
+        report = replace(report, extracted_lambda=eval_homogeneous(F, x),
+                         extracted_x=x)
     if not certifies(report, rank_tol):
         return NotRankOne(report.rank_one_ratio, _spectrum(report))
-    if report.certified or report.termination == "gap":
-        return PrincipalComponent(report.extracted_lambda, report.extracted_x,
-                                  True, report.bound)
-    x = newton_refine(F, report.extracted_x)
-    return PrincipalComponent(eval_homogeneous(F, x), x, True, report.bound)
+    return PrincipalComponent(report.extracted_lambda, report.extracted_x,
+                              True, report.bound)
 
 
 def _spectrum(report: SolveReport) -> np.ndarray:

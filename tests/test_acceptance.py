@@ -204,7 +204,7 @@ def test_criterion_08_biquadratic_rank_one_frequency():
         n, m, trial = task
         G = random_partial_symmetric(n, m, 7000 + trial)
         _, report = solve_biquadratic(G)
-        return (n, m), report.certified
+        return (n, m), report.rank_one
 
     tasks = [(n, m, t) for n, m in ((4, 4), (4, 6)) for t in range(100)]
     results = pool_map(run, tasks)

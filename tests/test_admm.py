@@ -100,7 +100,7 @@ def test_report_internal_consistency(solve):
 def test_converged_objective_is_the_extracted_value():
     # at a converged rank-one X the relaxation's value is attained by x
     report = solve_sdp(random_gaussian(3, 4, 0))
-    assert report.termination == "converged" and report.certified
+    assert report.termination == "converged" and report.rank_one
     assert report.extracted_lambda == pytest.approx(report.objective, abs=1e-4)
 
 
@@ -157,7 +157,7 @@ def test_moment_solve_equals_dense_solve(n, d, method):
     dense = _recover_symmetric(F, solve(
         Relaxation(matr(F), lambda Z: project_C(Z, n, d), Y0), method, cfg))
     report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](F, cfg)
-    assert report.certified == dense.certified
+    assert report.rank_one == dense.rank_one
     assert report.values.shape == (math.comb(n + 2 * d - 1, 2 * d),)
     assert report.X.shape == dense.X.shape
     assert report.extracted_lambda == pytest.approx(dense.extracted_lambda,
@@ -207,7 +207,7 @@ def test_safeguard_keeps_hard_instances_converging(n, method, trial,
     F = random_gaussian(n, 4, 1000 * n + trial)
     report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](F)
     assert report.termination == "converged"
-    assert report.certified
+    assert report.rank_one
     assert report.iterations <= 2 * plain_iterations
 
 

@@ -59,7 +59,7 @@ def one_block_solve(G, method, odd):
     report = solve(Relaxation(Gm, lambda Z: project_partial_C(Z, (n, m)), Y0),
                    method, cfg,
                    lambda X, v: (biquadratic_form(G, *read_out(X)), None))
-    assert report.values.shape == Gm.shape and not report.certified
+    assert report.values.shape == Gm.shape and not report.rank_one
     x, y = _mbi_biquadratic(G, read_out(report.values), cfg.seed,
                             report.bound, cfg.rank_tol)
     value = biquadratic_form(G, x, y)
@@ -74,10 +74,8 @@ def test_block_solve_gives_the_one_block_answer(dims, seed, method):
     blocked, report = solve_biquadratic(G, method, stop_on_gap=True,
                                         odd_rows=odd)
     value, certified = one_block_solve(G, method, odd)
-    # equal certificates, except where the solve converges with the gap
-    # still open (sdp, 1x1x1x1, seed 4): there the blocks are rank one and
-    # certify it, which the dense X, never rank one, cannot
-    assert blocked.certified == (certified or report.certified)
+    # equal certificates: both certify by the gap alone
+    assert blocked.certified == certified
     assert blocked.lambda_star == pytest.approx(value, rel=1e-10, abs=0)
     assert blocked.lambda_star == biquadratic_form(G, blocked.x_star,
                                                    blocked.y_star)
@@ -102,7 +100,7 @@ def test_a_converged_block_solve_is_rank_one_certified(method):
         _, report = solve_biquadratic(stacked((3, 3, 3, 3), seed), method,
                                       odd_rows=mask)
         assert report.termination == "converged", seed
-        assert report.certified, (seed, report.rank_one_ratio)
+        assert report.rank_one, (seed, report.rank_one_ratio)
         # and X as a whole is not: its two blocks hold one optimum each
         top = np.linalg.eigvalsh(report.X)[-2:]
         assert top[0] == pytest.approx(top[1], rel=1e-6), seed

@@ -2,10 +2,10 @@
 
 `report.bound` is lambda_max(C + S) - <S, X> with S taken from the ADMM's
 last multiplier: an upper bound on the form's maximum at any iterate.  A
-route's value is certified when X is rank one at a converged iterate, or
-the value closes the gap to the bound at an iterate the cap did not stop,
-and the fallback skips its restarts once the ascent from the read-out
-point closes it.
+route's value lambda is certified iff the iteration cap did not stop the
+solve and bound - lambda <= rank_tol * |bound|; a rank-one X certifies
+nothing by itself.  The fallback skips its restarts once the ascent from
+the read-out point closes the gap.
 """
 
 from dataclasses import replace
@@ -89,7 +89,7 @@ def test_tied_instances_certify_by_gap(method):
     for n, m in ((6, 4), (5, 3)) * 2:
         pc, report = solve_leading_pc(tied(rng, n, m), method)
         assert report.termination == "gap"
-        assert not report.certified  # the rank-one certificate fails
+        assert not report.rank_one  # X is not rank one
         assert pc.certified
         assert pc.lambda_star == pytest.approx(1.0, abs=1e-6)
         assert -1e-12 <= report.gap <= 1e-6 * abs(report.bound)
@@ -102,7 +102,7 @@ def test_quadrilinear_arrays_certify_by_gap(method):
     for s in range(20):
         F = np.random.default_rng(s).standard_normal((3, 3, 3, 3))
         comp, report = solve_leading_pc(F, method)
-        assert not report.certified
+        assert not report.rank_one
         assert comp.certified, s
         assert report.gap <= 1e-6 * abs(report.bound)
 
@@ -204,3 +204,29 @@ def test_capped_solve_is_never_certified_when_its_gap_closes(monkeypatch,
     assert report.termination == "iter_cap"
     assert report.gap <= 1e-6 * abs(report.bound)
     assert not comp.certified
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+def test_a_rank_one_report_is_not_certified_below_its_bound(method):
+    # a converged rank-one X whose value sits below the bound by more than
+    # rank_tol certifies nothing: only the gap vouches for a value
+    cfg = SolverConfig()
+    report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](
+        random_gaussian(4, 4, 7), cfg)
+    assert report.termination == "converged" and report.rank_one
+    assert certifies(report, cfg.rank_tol)
+    low = report.bound - 10 * cfg.rank_tol * abs(report.bound)
+    assert not certifies(replace(report, extracted_lambda=low), cfg.rank_tol)
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+def test_an_iteration_cap_is_never_certified(method):
+    # capped at 1, 2 and 5 iterations, even with the value set on the bound
+    for max_iter in (1, 2, 5):
+        cfg = SolverConfig(max_iter=max_iter)
+        report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](
+            random_gaussian(4, 4, 7), cfg)
+        assert report.termination == "iter_cap" and not report.rank_one
+        assert not certifies(report, cfg.rank_tol)
+        exact = replace(report, extracted_lambda=report.bound)
+        assert not certifies(exact, cfg.rank_tol)

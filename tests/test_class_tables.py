@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tensorpca import extraction, matricize, projection, random_gaussian, solve_sdp
+from tensorpca import matricize, projection, random_gaussian, solve_sdp
 from tensorpca.projection import _moment_tables, _trace_classes
 from tensorpca.tensors import _class_keys, _class_map
 
@@ -99,14 +99,13 @@ def test_moment_solve_builds_no_dense_table_of_its_own(monkeypatch):
     real_map = projection._class_map
     monkeypatch.setattr(projection, "_class_map",
                         lambda *shape: maps.append(shape) or real_map(*shape))
-    for module in (matricize, extraction):
-        monkeypatch.setattr(module, "matr",
-                            lambda f: matricized.append(f) or None)
+    monkeypatch.setattr(matricize, "matr",
+                        lambda f: matricized.append(f) or None)
     _moment_tables.cache_clear()
     _trace_classes.cache_clear()
     _moment_tables(n, d)
     _trace_classes(n, d)
     assert maps == [(n, d)]
-    assert solve_sdp(F).certified
+    assert solve_sdp(F).rank_one
     assert matricized == []
     assert (n, 2 * d) not in maps

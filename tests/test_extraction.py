@@ -9,37 +9,52 @@ from tensorpca import (PrincipalComponent, NotRankOne, extract, mbi_refine,
                        SuperSymmetricTensor, rank_one, random_gaussian,
                        eval_homogeneous, matr, inner, multistart_local, main,
                        solve_sdp, symmetrize, write_tensor)
-from tensorpca.extraction import _refine_not_rank_one, solve_even_order
+from tensorpca.admm import _recover_symmetric, _summarize, certifies
+from tensorpca.extraction import (_refine_not_rank_one, _spectrum,
+                                  solve_even_order)
 
 
 def unit(x):
     return x / np.linalg.norm(x)
 
 
-def test_extract_exact_rank_one():
+def test_extract_refuses_a_bare_matrix():
+    # a feasible rank-one X of a random a has no dual bound, so nothing
+    # certifies it, and F(a) is far below F's certified maximum
+    rng = np.random.default_rng(0)
+    a = unit(rng.standard_normal(3))
+    F = random_gaussian(3, 4, 5)
+    with pytest.raises(TypeError):
+        extract(F, matr(rank_one(1.0, a, 4)))
+    pc, _ = solve_leading_pc(F, "sdp")
+    assert pc.certified and pc.lambda_star > eval_homogeneous(F, a) + 1.0
+
+
+def test_read_out_of_an_exact_rank_one_matrix():
     rng = np.random.default_rng(0)
     a = unit(rng.standard_normal(3))
     F = random_gaussian(3, 4, 5)
     X = matr(rank_one(1.0, a, 4))
-    pc = extract(F, X)
-    assert isinstance(pc, PrincipalComponent)
-    assert pc.certified
-    assert np.linalg.norm(pc.x_star) == pytest.approx(1.0, abs=1e-12)
-    assert min(np.max(np.abs(pc.x_star - a)), np.max(np.abs(pc.x_star + a))) < 1e-10
-    assert pc.lambda_star == pytest.approx(eval_homogeneous(F, pc.x_star), abs=1e-13)
+    report = _recover_symmetric(F, _summarize(X, matr(F), SolverConfig.rank_tol))
+    assert report.rank_one and not certifies(report, SolverConfig.rank_tol)
+    x = report.extracted_x
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert min(np.max(np.abs(x - a)), np.max(np.abs(x + a))) < 1e-10
+    assert report.extracted_lambda == pytest.approx(eval_homogeneous(F, x),
+                                                    abs=1e-13)
     # the sign maximizing the form was taken
-    assert pc.lambda_star >= eval_homogeneous(F, -pc.x_star)
+    assert report.extracted_lambda >= eval_homogeneous(F, -x)
 
 
-def test_extract_flags_higher_rank():
+def test_higher_rank_matrix_is_not_rank_one():
     F = random_gaussian(2, 4, 1)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     X = 0.5 * (matr(rank_one(1.0, e1, 4)) + matr(rank_one(1.0, e2, 4)))
-    result = extract(F, X)
-    assert isinstance(result, NotRankOne)
-    assert result.ratio == pytest.approx(1.0)
-    assert result.spectrum.shape == (4,)
+    report = _summarize(X, matr(F), SolverConfig.rank_tol)
+    assert not report.rank_one
+    assert report.rank_one_ratio == pytest.approx(1.0)
+    assert _spectrum(report).shape == (4,)
 
 
 @pytest.mark.parametrize("n, m", [(4, 4), (3, 6)])
@@ -54,18 +69,18 @@ def test_not_rank_one_spectrum_is_the_lifted_spectrum(n, m):
     assert np.abs(result.spectrum - np.linalg.eigvalsh(report.X)).max() <= 1e-12
 
 
-def test_extract_rejects_infeasible_matrices():
+def test_extract_refuses_matrices_and_odd_orders():
+    # any matrix, feasible or not, is refused; so is an odd order
     F = random_gaussian(2, 4, 2)
     a = unit(np.array([1.0, 2.0]))
     X = matr(rank_one(1.0, a, 4))
-    with pytest.raises(ValueError):
-        extract(F, 2.0 * X)  # trace two
     bad = X.copy()
     bad[0, 1] += 0.1  # breaks tensor symmetry, keeps trace
+    for matrix in (X, 2.0 * X, bad):
+        with pytest.raises(TypeError):
+            extract(F, matrix)
     with pytest.raises(ValueError):
-        extract(F, bad)
-    with pytest.raises(ValueError):
-        extract(random_gaussian(2, 3, 0), X)
+        extract(random_gaussian(2, 3, 0), solve_sdp(F))
 
 
 def test_mbi_converges_on_rank_one():
@@ -163,7 +178,7 @@ def test_iter_cap_is_never_certified(tmp_path):
     cfg = SolverConfig(max_iter=1)
     pc, report = solve_leading_pc(F, "sdp", cfg)
     assert report.termination == "iter_cap"
-    assert not report.certified
+    assert not report.rank_one
     assert not pc.certified
     # the pipeline report carries the returned x; the fallback started from
     # the read-out, which a direct solve capped at the same iteration keeps

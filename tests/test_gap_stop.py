@@ -121,7 +121,7 @@ def test_newton_refinement_reaches_the_converged_value(method):
     F = random_gaussian(6, 4, 2)
     stopped = SOLVERS[method](F, stop_on_gap=True)
     converged = SOLVERS[method](F)
-    assert stopped.termination == "gap" and converged.certified
+    assert stopped.termination == "gap" and converged.rank_one
     assert stopped.extracted_lambda == pytest.approx(
         converged.extracted_lambda, rel=1e-13)
     early = SOLVERS[method](F, SolverConfig(max_iter=stopped.iterations))

@@ -491,6 +491,32 @@ def test_experiment_rows_are_reproducible():
     assert all(row["rank_one_count"] == 4 for row in first)
 
 
+def tied_partial_symmetric(n, m, seed):
+    # two orthonormal rank-one terms: the maximum 1 is attained at both, so
+    # the relaxation's X is a mixture, never rank one, while its value
+    # closes the gap
+    rng = np.random.default_rng(seed)
+    qa, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    qb, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return partial_symmetrize(sum(
+        np.einsum("i,j,k,l->ijkl", qa[:, j], qb[:, j], qa[:, j], qb[:, j])
+        for j in range(2)))
+
+
+def test_biquadratic_rank_one_count_counts_rank_one_solves(monkeypatch):
+    # rank_one_count is the paper's statistic, not the certificate: every
+    # tied solve certifies and none is rank one
+    monkeypatch.setattr(cli, "random_partial_symmetric", tied_partial_symmetric)
+    spec = ExperimentSpec(sizes=((3, 4),), trials=3, methods=("nnp", "sdp"),
+                          family="biquadratic")
+    rows = run_experiment(spec)
+    assert [row["rank_one_count"] for row in rows] == [0, 0]
+    for method in spec.methods:
+        for t in range(spec.trials):
+            G = tied_partial_symmetric(3, 4, t)
+            assert solve_biquadratic(G, method)[0].certified, (method, t)
+
+
 def test_experiment_logs_a_failed_trial(monkeypatch, caplog):
     draw = cli.random_gaussian
 

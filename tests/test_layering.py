@@ -4,7 +4,9 @@ Layers, lowest first: tensors, then matricize / projection / oracle, then
 admm, extraction, extensions, and io / cli on top.  A module may import from
 its own layer or a lower one.  An import inside a function body hides a
 cycle, so none is allowed.  The oracle checks the solvers, so it shares no
-code with them: it imports `tensors` only.
+code with them: it imports `tensors` only.  One certificate rule
+(`admm.certifies`) serves every route, so the rank-one statistic is decided
+in one place and read only by the experiments.
 """
 
 import ast
@@ -114,3 +116,39 @@ def test_no_unique_rows(module):
     # `tensors._class_of` ranks each sorted tuple by table lookups
     used = [node.lineno for node in ast.walk(parse(module)) if sorts_rows(node)]
     assert not used, f"{module} calls np.unique along an axis: lines {used}"
+
+
+def top_level_defs(tree):
+    """(function name, node) for each function and method of a module."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for inner in body:
+            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield inner.name, inner
+
+
+def spelled(node):
+    """Every name and attribute a node spells."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(node)}
+
+
+def test_rank_one_ratio_meets_rank_tol_only_in_summarize():
+    # the rank-one statistic is decided once, in admm._summarize; a second
+    # comparison of a ratio with rank_tol would grow a second certificate
+    sites = {(module, name) for module in MODULES
+             for name, func in top_level_defs(parse(module))
+             for node in ast.walk(func) if isinstance(node, ast.Compare)
+             if "rank_tol" in spelled(node)
+             and spelled(node) & {"rank_one_ratio", "ratio"}}
+    assert sites == {("admm", "_summarize")}, sites
+
+
+def test_only_the_experiments_read_the_rank_one_flag():
+    # SolveReport.rank_one is the paper's statistic: the experiments count
+    # it, and nothing certifies by it
+    readers = {(module, node.lineno) for module in MODULES
+               for node in ast.walk(parse(module))
+               if isinstance(node, ast.Attribute) and node.attr == "rank_one"
+               and isinstance(node.ctx, ast.Load)}
+    assert {module for module, _ in readers} == {"cli"}, readers

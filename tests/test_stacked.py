@@ -108,7 +108,7 @@ def test_order_6_arrays_certify_and_attain_the_ascent(shape, method, seed):
     # run to convergence, every block of X is rank one
     G, labels = stack_multilinear(F), _flip_classes(F.shape)
     _, report = solve_biquadratic(G, method, odd_rows=labels)
-    assert report.termination == "converged" and report.certified
+    assert report.termination == "converged" and report.rank_one
 
     # the read-out z = sum_b +-sqrt(l_b) u_b gives the optimum under every
     # sign choice of the blocks: the route searches the choices flips do
