@@ -104,7 +104,7 @@ def _biquadratic_trial(n: int, m: int, method: str, cfg: SolverConfig,
                        seed: int):
     G = random_partial_symmetric(n, m, seed)
     start = time.perf_counter()
-    component, report = solve_biquadratic(G, method, cfg)
+    _, report = solve_biquadratic(G, method, cfg)
     elapsed = time.perf_counter() - start
     return report.rank_one, report.iterations, report.objective, elapsed
 
