@@ -12,16 +12,18 @@ set (symmetric, trace zero), any S orthogonal to L gives, for every
 trace-one PSD X' in the set, tr(C X') = tr((C + S) X') - <S, X'> <=
 lambda_max(C + S) - <S, X> at any X in the set, capped iterates included.
 `solve` takes S from the ADMM's last multiplier, so the bound is tight at
-a solution; `certifies` is the one certificate rule that reads it.  Given
-the value a route reads out of an iterate, `solve` also stops the ADMM as
-soon as that value closes the gap to the bound at the same iterate.  The
-routes polish that read-out to a KKT point of the form first
-(`newton_refine`, `polish_biquadratic`: Newton steps on a product of
-spheres) and hand over its rank-one point u u^T; the bound is then
-corrected by the least-norm D orthogonal to L that makes u an eigenvector
-of C + S, and is the smaller of the two.  On a tight relaxation that is
-the value itself once u is the maximum, so the gap closes after a few
-iterations, long before the multiplier converges.
+a solution, and caps it by the bound at S = 0, lambda_max(C), computed
+once per solve: exact on orthogonally decomposable forms, whose unfolding
+has their weights as eigenvalues.  `certifies` is the one certificate rule
+that reads the bound.  Given the value a route reads out of an iterate,
+`solve` also stops the ADMM as soon as that value closes the gap to the
+bound at the same iterate.  The routes polish that read-out to a KKT point
+of the form first (`newton_refine`, `polish_biquadratic`: Newton steps on
+a product of spheres) and hand over its rank-one point u u^T; the bound is
+then corrected by the least-norm D orthogonal to L that makes u an
+eigenvector of C + S, and is the smaller of the two.  On a tight
+relaxation that is the value itself once u is the maximum, so the gap
+closes after a few iterations, long before the multiplier converges.
 
 The symmetric relaxation runs on K x K moment matrices, K = C(n+d-1, d),
 not on n**d x n**d ones: every iterate lies in Sym^d (x) Sym^d, and the
@@ -118,11 +120,12 @@ class SolveReport:
     of the leading eigenvector.  bound: lambda_max(C + S) - <S, X>, an
     upper bound on the relaxation and so on the form's maximum, valid at
     any iterate (nan for a bare matrix, which has no multiplier).  S is the
-    last multiplier projected onto the complement of L; on a "gap" stop
-    whose route gave a rank-one point, the bound is the smaller of that and
-    the bound at S plus the correction that makes the point an eigenvector
-    of C + S, and extracted_lambda and extracted_x are that check's
-    polished value and point.  extracted_lambda is the value the route
+    last multiplier projected onto the complement of L, and the bound is
+    never above lambda_max(C), the bound at S = 0.  On a "gap" stop whose
+    route gave a rank-one point, it is also at most the bound at S plus the
+    correction that makes the point an eigenvector of C + S, and
+    extracted_lambda and extracted_x are that check's polished value and
+    point.  extracted_lambda is the value the route
     returns on this relaxation's form, the refinement's or the fallback's
     when one ran, and gap = bound - extracted_lambda.  That value is
     certified iff the iteration cap did not stop the solve and gap <=
@@ -558,7 +561,8 @@ def _checked_bound(problem: Relaxation, X: np.ndarray, Z: np.ndarray,
                    u: Optional[np.ndarray], zero: np.ndarray) -> float:
     # min(bound at Z, bound at Z + M), M the correction at the rank-one
     # point u, which `_dual_bound` projects onto L-perp; the bound at Z
-    # alone without u or a closed-form T(u)
+    # alone without u or a closed-form T(u).  `solve` caps it by the bound
+    # at S = 0
     S = _multiplier(problem, Z, zero)
     bound = _bound_at(problem, X, S)
     if u is None or problem.normal is None:
@@ -579,27 +583,30 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     spectral block: "sdp" projects onto the PSD cone; "nnp" shrinks the
     singular values by mu*rho, for the penalized objective
     tr(CX) - rho*||X||_*.  `run_admm` has the iteration.  The report's
-    bound takes Z = -Lam, the last multiplier, into the module's dual bound.
+    bound takes Z = -Lam, the last multiplier, into the module's dual bound,
+    capped by lambda_max(C), the bound at S = 0, which is computed once
+    per solve and caps every check's bound too.
 
-    `value(X, v)`, when given, returns (value, point) for an iterate X
-    and its read-out v (the leading eigenvector of X, lifted to length
-    n**d in moment coordinates, or a block stack's `_block_eig` read-out):
-    the value the route reads out of v, polished, and the unit u whose
-    u u^T is the feasible rank-one point of that value (None when the
-    route has none).  At each of `run_admm`'s checks the bound is then
-    min(bound at Z, bound at Z + D), D the least-norm correction in L-perp
-    that makes u an eigenvector of C + S (`problem.normal`).  When u is
-    the maximum of a tight relaxation that bound is the value up to
-    rounding, so the first check whose read-out is the maximum closes the
-    gap.  The ADMM stops, with termination "gap", once closes_gap(bound,
-    value, cfg.rank_tol) holds.  The report then reuses that check: its
-    bound and the eigendecomposition that gave v (one `eigh` per check and
-    none more for the report), and when u is given its extracted_lambda is
-    the value and its extracted_x u (lifted to length n**d in moment
-    coordinates).  `run_admm` skips the checks at an all-zero Y, nnp's
-    shrinkage phase, and jumps across that phase in closed form: `solve`
-    hands it the band where the prox is zero, [-mu*rho, mu*rho] for nnp
-    and (-inf, 0] for sdp, and `iterations` counts the steps jumped over.
+    `value(X, v)`, when given, returns (value, point) for an iterate X and
+    its read-out v (the leading eigenvector of X, lifted to length n**d in
+    moment coordinates, or a block stack's `_block_eig` read-out): the
+    value the route reads out of v, polished, and the unit u whose u u^T is
+    the feasible rank-one point of that value (None when the route has
+    none).  At each of `run_admm`'s checks the bound is then
+    min(lambda_max(C), bound at Z, bound at Z + D), D the least-norm
+    correction in L-perp that makes u an eigenvector of C + S
+    (`problem.normal`).  When u is the maximum of a tight relaxation that
+    bound is the value up to rounding, so the first check whose read-out is
+    the maximum closes the gap.  The ADMM stops, with termination "gap",
+    once closes_gap(bound, value, cfg.rank_tol) holds.  The report then
+    reuses that check: its bound and the eigendecomposition that gave v
+    (one `eigh` per check and none more for the report), and when u is
+    given its extracted_lambda is the value and its extracted_x u (lifted
+    to length n**d in moment coordinates).  `run_admm` skips the checks at
+    an all-zero Y, nnp's shrinkage phase, and jumps across that phase in
+    closed form: `solve` hands it the band where the prox is zero,
+    [-mu*rho, mu*rho] for nnp and (-inf, 0] for sdp, and `iterations`
+    counts the steps jumped over.
     """
     C = problem.C
     if not C.any():
@@ -621,12 +628,16 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     else:
         raise ValueError(f"unknown method {method!r}")
     zero = problem.project(np.zeros_like(C))
+    # the bound at S = 0, lambda_max(C): a dual point held for free and
+    # exact on orthogonally decomposable forms, so every bound is capped by it
+    cap = _bound_at(problem, zero, 0.0)
     stop, last = None, []
     if value is not None:
         def stop(X, mu_lam):
             spectrum = _spectral_read_out(X, problem.moment, problem.blocks)
             val, u = value(X, spectrum[2])
-            bound = _checked_bound(problem, X, -mu_lam / cfg.mu, u, zero)
+            bound = min(cap, _checked_bound(problem, X, -mu_lam / cfg.mu, u,
+                                            zero))
             last[:] = bound, val, u, spectrum
             return closes_gap(bound, val, cfg.rank_tol)
     X, _, iterations, rel, primal, stopped, mu_lam = run_admm(
@@ -637,7 +648,7 @@ def solve(problem: Relaxation, method: str, cfg: SolverConfig,
     if termination == "gap":
         bound, val, u, spectrum = last
     else:
-        bound = _dual_bound(problem, X, -mu_lam / cfg.mu, zero)
+        bound = min(cap, _dual_bound(problem, X, -mu_lam / cfg.mu, zero))
         spectrum = None
     report = _summarize(X, C, cfg.rank_tol, iterations, rel, primal,
                         termination, problem.moment, bound, problem.blocks,

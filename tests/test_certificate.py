@@ -1,11 +1,13 @@
 """The dual bound on every solve, and the certificate that reads it.
 
 `report.bound` is lambda_max(C + S) - <S, X> with S taken from the ADMM's
-last multiplier: an upper bound on the form's maximum at any iterate.  A
-route's value lambda is certified iff the iteration cap did not stop the
-solve and bound - lambda <= rank_tol * |bound|; a rank-one X certifies
-nothing by itself.  The fallback skips its restarts once the ascent from
-the read-out point closes the gap.
+last multiplier: an upper bound on the form's maximum at any iterate,
+capped by the bound at S = 0, lambda_max(C), which is exact on
+orthogonally decomposable forms.  A route's value lambda is certified
+iff the iteration cap did not stop the solve and bound - lambda <=
+rank_tol * |bound|; a rank-one X certifies nothing by itself.  The
+fallback skips its restarts once the ascent from the read-out point
+closes the gap.
 """
 
 from dataclasses import replace
@@ -24,17 +26,22 @@ from tensorpca.matricize import _leading_factors
 from tensorpca.extraction import RESTARTS
 
 
+def odeco(q, weights, m):
+    # sum_j w_j q_j^(x)m over orthonormal columns q_j of q
+    dense = np.zeros((len(q),) * m)
+    for j, w in enumerate(weights):
+        term = q[:, j]
+        for _ in range(m - 1):
+            term = np.multiply.outer(term, q[:, j])
+        dense += w * term
+    return symmetrize(dense)
+
+
 def tied(rng, n, m):
     # two orthonormal rank-one terms, as in the benchmark's files-mixed:
     # the maximum 1 is attained at both, so no relaxation is rank one
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    dense = np.zeros((n,) * m)
-    for j in range(2):
-        term = q[:, j]
-        for _ in range(m - 1):
-            term = np.multiply.outer(term, q[:, j])
-        dense += term
-    return symmetrize(dense)
+    return odeco(q, (1.0, 1.0), m)
 
 
 def biquadratic_lower(G, starts=10, sweeps=200):
@@ -85,14 +92,19 @@ def test_bound_is_above_the_oracle_at_any_iterate(case):
 
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
 def test_tied_instances_certify_by_gap(method):
-    rng = np.random.default_rng(123)
-    for n, m in ((6, 4), (5, 3)) * 2:
-        pc, report = solve_leading_pc(tied(rng, n, m), method)
-        assert report.termination == "gap"
-        assert not report.rank_one  # X is not rank one
-        assert pc.certified
-        assert pc.lambda_star == pytest.approx(1.0, abs=1e-6)
-        assert -1e-12 <= report.gap <= 1e-6 * abs(report.bound)
+    # the bound at S = 0 is lambda_max of the unfolding, 1 on a tied form,
+    # so under sdp the first check whose polished read-out reaches 1
+    # closes, by iteration 8
+    for s in range(20):
+        for n, m in ((6, 4), (5, 3)):
+            pc, report = solve_leading_pc(
+                tied(np.random.default_rng(s), n, m), method)
+            assert report.termination == "gap"
+            assert not report.rank_one  # X is not rank one
+            assert pc.certified
+            assert abs(pc.lambda_star - 1.0) <= 1e-12, (s, n, m)
+            assert -1e-12 <= report.gap <= 1e-6 * abs(report.bound)
+            assert method == "nnp" or report.iterations <= 8, (s, n, m)
 
 
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
@@ -130,10 +142,15 @@ def tied_quartic():
     return tied(np.random.default_rng(123), 6, 4)
 
 
-def tied_quartic_fallback(cfg):
-    # the pipeline stops the tied quartic on the gap before any fallback, so
-    # the fallback runs here from a solve_sdp report and its bound
-    F = tied_quartic()
+def generic_quartic(s):
+    return symmetrize(np.random.default_rng(s).standard_normal((6,) * 4))
+
+
+def quartic_fallback(F, cfg):
+    # the pipeline stops a quartic on the gap before any fallback, so the
+    # fallback runs here from a solve_sdp report and its bound.  Not on a
+    # tied quartic: its bound at S = 0 closes the gap from the first
+    # iteration on
     report = solve_sdp(F, cfg)
     x = extraction._refine_not_rank_one(F, report.extracted_x, cfg.seed,
                                         report.bound, cfg.rank_tol)
@@ -161,10 +178,11 @@ def quadrilinear_fallback(cfg, calls):
 
 
 @pytest.mark.parametrize("run, module", [
-    (lambda cfg, calls: tied_quartic_fallback(cfg), extraction),
+    *[(lambda cfg, calls, s=s: quartic_fallback(generic_quartic(s), cfg),
+       extraction) for s in range(3)],
     (quadrilinear_fallback, extensions)],
-    ids=["tied_quartic-tensorpca.extraction",
-         "quadrilinear-tensorpca.extensions"])
+    ids=[f"generic_quartic_{s}-tensorpca.extraction" for s in range(3)]
+    + ["quadrilinear-tensorpca.extensions"])
 def test_fallback_stops_at_the_first_ascent_once_the_gap_closes(
         monkeypatch, run, module):
     calls = count_ascents(monkeypatch, module)
@@ -230,3 +248,75 @@ def test_an_iteration_cap_is_never_certified(method):
         assert not certifies(report, cfg.rank_tol)
         exact = replace(report, extracted_lambda=report.bound)
         assert not certifies(exact, cfg.rank_tol)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("n", [6, 8])
+def test_odeco_bound_is_the_largest_weight(n, m):
+    # weights distinct in (0.2, 1) on an orthonormal basis: the form's
+    # maximum is the largest.  matr(F) has eigenvalues w_j on orthonormal
+    # q_j^(x)(m/2), so its lambda_max is that maximum, a bound exact at
+    # every iterate, the first included (an odd order is squared into
+    # weights w_j^2)
+    for s, method in ((0, "sdp"), (1, "nnp")):
+        rng = np.random.default_rng(s)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(0.2, 1.0, n)
+        F, top = odeco(q, w, m), w.max()
+        for cfg in (SolverConfig(max_iter=1), SolverConfig()):
+            pc, report = solve_leading_pc(F, method, cfg)
+            assert abs(pc.bound - top) <= 1e-12 * top, (s, cfg.max_iter)
+        assert pc.certified and abs(pc.lambda_star - top) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+@pytest.mark.parametrize("max_iter", [1, 5, 20, 50_000])
+def test_no_bound_is_above_lambda_max_of_the_matricization(method, max_iter):
+    # the dense unfolding's top eigenvalue, built here: the bound at S = 0
+    for s in range(5):
+        F = random_gaussian(4, 4, s)
+        top = np.linalg.eigvalsh(F.to_dense().reshape(16, 16))[-1]
+        report = {"sdp": solve_sdp, "nnp": solve_nnp}[method](
+            F, SolverConfig(max_iter=max_iter))
+        assert report.bound <= top + 1e-12 * abs(top), s
+
+
+def test_one_by_one_quartic_arrays_certify_under_sdp():
+    # a (1, 1, 1, 1) array's maximum is |F|, and its sign-flip stack's
+    # lambda_max(C) is exactly that
+    for s in range(20):
+        F = np.random.default_rng(s).standard_normal((1, 1, 1, 1))
+        comp, _ = solve_leading_pc(F, "sdp")
+        assert comp.certified, s
+        assert abs(comp.lambda_star - abs(F.item())) <= 1e-12 * abs(F.item())
+
+
+@pytest.mark.parametrize("method", ["sdp", "nnp"])
+@pytest.mark.parametrize("make", [
+    lambda: random_gaussian(4, 4, 0),
+    lambda: random_gaussian(4, 3, 0),
+    lambda: tied(np.random.default_rng(0), 5, 4),
+    lambda: np.random.default_rng(0).standard_normal((3, 3, 3)),
+    lambda: np.random.default_rng(0).standard_normal((2, 2, 2, 2))],
+    ids=["quartic", "cubic", "tied", "trilinear", "stacked"])
+def test_the_bound_at_zero_is_solved_once_per_solve(monkeypatch, make,
+                                                    method):
+    # a spy on every bound: the eigenproblem of C itself, S = 0, runs once
+    # per ADMM solve, whatever the route and however many checks ran
+    solves, at_zero = [], []
+    original_bound, original_solve = admm._bound_at, admm.solve
+
+    def bound_at(problem, X, S):
+        if np.array_equal(problem.C + S, problem.C):
+            at_zero.append(problem)
+        return original_bound(problem, X, S)
+
+    def solve(problem, *args, **kwargs):
+        solves.append(problem)
+        return original_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(admm, "_bound_at", bound_at)
+    monkeypatch.setattr(admm, "solve", solve)
+    monkeypatch.setattr(extensions, "solve", solve)
+    solve_leading_pc(make(), method)
+    assert solves and [id(p) for p in at_zero] == [id(p) for p in solves]
