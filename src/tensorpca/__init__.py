@@ -22,9 +22,9 @@ from .admm import SolverConfig, SolveReport, neg_eig_mass, solve_nnp, solve_sdp
 from .extraction import (PrincipalComponent, NotRankOne, MultilinearComponent,
                          MbiResult, extract, mbi_refine, deflate)
 from .extensions import (BiquadraticComponent, random_partial_symmetric,
-                         solve_biquadratic, trilinear_to_biquadratic,
-                         stack_multilinear, odd_to_even, solve_trilinear,
-                         solve_multilinear, solve_leading_pc)
+                         solve_biquadratic, square_last_mode,
+                         stack_multilinear, odd_to_even, solve_multilinear,
+                         solve_leading_pc)
 from .oracle import OracleResult, sphere_grid_max, kkt_project, multistart_local
 from .io import (FORMAT_VERSION, TensorFileError, LoadedTensor, read_tensor,
                  write_tensor)
@@ -48,8 +48,8 @@ __all__ = [
     "extract", "mbi_refine", "deflate", "solve_leading_pc",
     "BiquadraticComponent", "is_partial_symmetric", "partial_symmetrize",
     "random_partial_symmetric", "solve_biquadratic",
-    "trilinear_to_biquadratic", "stack_multilinear", "odd_to_even",
-    "solve_trilinear", "solve_multilinear",
+    "square_last_mode", "stack_multilinear", "odd_to_even",
+    "solve_multilinear",
     "OracleResult", "sphere_grid_max", "kkt_project", "multistart_local",
     "FORMAT_VERSION", "TensorFileError", "LoadedTensor", "read_tensor",
     "write_tensor",

@@ -2,12 +2,12 @@
 
 A partial-symmetric form G(x_1..x_d, x_1..x_d) over d spheres has its own
 relaxation, run through `admm.solve` (`solve_biquadratic`; d = 2 is the
-bi-quadratic form).  Every dense array reduces to it: order 3 by squaring
-out its last mode, order 2d by stacking its modes in pairs.  Odd-order
-symmetric problems square into even ones; `solve_leading_pc` picks the
-route, and symmetric even orders end in `extraction`.  Each reduction
-scales the maximum by a known map, and maps the solve's dual bound back
-onto the returned component's scale with it.
+bi-quadratic form).  Every dense array reduces to it (`solve_multilinear`):
+an odd order by squaring out its last mode, an order 2d by stacking its
+modes in pairs.  Odd-order symmetric problems square into even ones;
+`solve_leading_pc` picks the route, and symmetric even orders end in
+`extraction`.  Each reduction scales the maximum by a known map, and maps
+the solve's dual bound back onto the returned component's scale with it.
 """
 
 from __future__ import annotations
@@ -36,13 +36,16 @@ __all__ = [
     "BiquadraticComponent",
     "random_partial_symmetric",
     "solve_biquadratic",
-    "trilinear_to_biquadratic",
+    "square_last_mode",
     "stack_multilinear",
     "odd_to_even",
-    "solve_trilinear",
     "solve_multilinear",
     "solve_leading_pc",
 ]
+
+# the largest relaxation a dense array may pose: the ADMM keeps about 20
+# N x N float64 arrays, about 0.67 GB at N = 2048
+MAX_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -205,17 +208,18 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     return component, report
 
 
-def trilinear_to_biquadratic(F: np.ndarray) -> np.ndarray:
-    """Partial-symmetric G with G(x, y, x, y) = ||F(x, y, .)||^2.
+def square_last_mode(F: np.ndarray) -> np.ndarray:
+    """Partial-symmetric G with G(x_1..x_k, x_1..x_k) = ||F(x_1..x_k, .)||^2.
 
-    Contracting the two copies of F over the last mode and averaging the
-    two pairings keeps the required symmetry.
+    F has an odd order k + 1 >= 3.  Contracting two copies of F over the
+    last mode and averaging over the swaps (i, i + k) keeps the form.
     """
     F = np.asarray(F, dtype=float)
-    if F.ndim != 3:
-        raise ValueError(f"expected an order-3 array, got order {F.ndim}")
-    return 0.5 * (np.einsum("ijk,uvk->ijuv", F, F)
-                  + np.einsum("ivk,ujk->ijuv", F, F))
+    if F.ndim % 2 == 0 or F.ndim < 3:
+        raise ValueError(f"expected an odd order of at least 3, got order {F.ndim}")
+    k = F.ndim - 1
+    pair = np.einsum(F, [*range(k), 2 * k], F, [*range(k, 2 * k), 2 * k])
+    return partial_symmetrize(pair)
 
 
 def stack_multilinear(F: np.ndarray) -> np.ndarray:
@@ -259,44 +263,43 @@ def odd_to_even(F: SuperSymmetricTensor) -> SuperSymmetricTensor:
     return symmetrize(h)
 
 
-def solve_trilinear(F: np.ndarray, method: str = "sdp",
-                    cfg: SolverConfig = None):
-    """Maximize F(x, y, z) over unit vectors via the bi-quadratic reduction.
-
-    The bi-quadratic solve stops on the duality gap (`stop_on_gap`).
-    """
-    F = np.asarray(F, dtype=float)
-    comp, report = solve_biquadratic(trilinear_to_biquadratic(F), method, cfg,
-                                     stop_on_gap=True)
-    x, y = comp.x_star, comp.y_star
-    z = np.tensordot(F, np.outer(x, y), axes=([0, 1], [0, 1]))
-    blocks, value = _fix_last_sign(F, [x, y, _unit(z)])
-    # the bi-quadratic maximum is the square of F's
-    return MultilinearComponent(value, blocks, comp.certified,
-                                math.sqrt(comp.bound)), report
-
-
 def solve_multilinear(F: np.ndarray, method: str = "sdp",
                       cfg: SolverConfig = None):
-    """Maximize F(x_1, ..., x_2d) over unit vectors via stacking.
+    """Maximize F(x_1, ..., x_k) over unit vectors, for any order k >= 2.
 
-    u_k = (x_k; x_{k+d}) (`stack_multilinear`), solved in the 2^(d-1)
-    diagonal blocks of the flips that fix the stacked form, where
-    `report.rank_one` tests each block for rank one.  The solve stops on
-    the duality gap (`stop_on_gap`), and the component is certified by
-    `admm.certifies` at the stacked form's value.
+    An odd order squares out its last mode (`square_last_mode`), reads x_k
+    as F(x_1..x_{k-1}, .) normalized and maps the bound by a square root.
+    An order 2d stacks u_i = (x_i; x_{i+d}) (`stack_multilinear`), solved
+    in the 2^(d-1) diagonal blocks of the flips that fix the stacked form,
+    where `report.rank_one` tests each block for rank one.  Both stop on
+    the duality gap (`stop_on_gap`) and certify by `admm.certifies` at the
+    reduced form's value.  A relaxation of N > MAX_ROWS rows is refused.
     """
     F = np.asarray(F, dtype=float)
-    comp, report = solve_biquadratic(stack_multilinear(F), method, cfg,
-                                     stop_on_gap=True,
-                                     odd_rows=_flip_classes(F.shape))
-    split = [(u[:n], u[n:]) for u, n in zip(comp.xs, F.shape)]
-    blocks, value = _fix_last_sign(F, [_unit(h[0]) for h in split]
-                                   + [_unit(h[1]) for h in split])
-    # a unit stacked vector splits its norm evenly between its two halves
-    # at the maximum, so the stacked form's maximum is F's over 2^d
-    return MultilinearComponent(value, blocks, comp.certified,
-                                2 ** len(comp.xs) * comp.bound), report
+    k = F.ndim
+    rows = math.prod(F.shape[:-1] if k % 2 else
+                     map(sum, zip(F.shape[:k // 2], F.shape[k // 2:])))
+    if rows > MAX_ROWS:
+        raise ValueError(f"the relaxation has N = {rows} rows, above the limit {MAX_ROWS}")
+    if k % 2:
+        comp, report = solve_biquadratic(square_last_mode(F), method, cfg,
+                                         stop_on_gap=True)
+        z = np.tensordot(F, _outer(comp.xs).reshape(F.shape[:-1]),
+                         axes=(range(k - 1), range(k - 1)))
+        xs = [*comp.xs, _unit(z)]
+        # the squared form's maximum is the square of F's
+        bound = math.sqrt(comp.bound)
+    else:
+        comp, report = solve_biquadratic(stack_multilinear(F), method, cfg,
+                                         stop_on_gap=True,
+                                         odd_rows=_flip_classes(F.shape))
+        split = [(u[:n], u[n:]) for u, n in zip(comp.xs, F.shape)]
+        xs = [_unit(h[0]) for h in split] + [_unit(h[1]) for h in split]
+        # a unit stacked vector splits its norm evenly between its two
+        # halves at the maximum, so the stacked form's maximum is F's over 2^d
+        bound = 2 ** len(comp.xs) * comp.bound
+    blocks, value = _fix_last_sign(F, xs)
+    return MultilinearComponent(value, blocks, comp.certified, bound), report
 
 
 def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
@@ -306,9 +309,10 @@ def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
     ----------
     F : SuperSymmetricTensor or ndarray
         Even-order symmetric tensors are solved directly; odd-order
-        symmetric tensors are squared first; dense order-3 arrays take the
-        bi-quadratic route, and dense even-order arrays the stacked one
-        (`solve_multilinear`).  Dense arrays must be finite.
+        symmetric tensors are squared first; dense arrays of every order
+        k >= 2 go to `solve_multilinear`, which squares out the last mode
+        of an odd order and stacks an even one.  Dense arrays must be
+        finite.
     method : {"sdp", "nnp"}
         Relaxation solved by the ADMM.
     cfg : SolverConfig, optional
@@ -333,9 +337,4 @@ def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
         return PrincipalComponent(eval_homogeneous(F, x), x, pc_even.certified,
                                   math.sqrt(pc_even.bound)), report
 
-    t = _finite_array(F)
-    if t.ndim == 3:
-        return solve_trilinear(t, method, cfg)
-    if t.ndim % 2 == 0:
-        return solve_multilinear(t, method, cfg)
-    raise ValueError(f"no solve route for a dense order-{t.ndim} array")
+    return solve_multilinear(_finite_array(F), method, cfg)

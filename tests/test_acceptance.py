@@ -18,7 +18,7 @@ from tensorpca import (demo_quartic, poly_quartic, DEMO_QUARTIC_X,
                        mode_n_unfold, is_super_symmetric, rank_one,
                        rank_one_ratio, random_gaussian, random_uniform,
                        random_partial_symmetric, eval_multilinear,
-                       eval_homogeneous, odd_to_even, trilinear_to_biquadratic,
+                       eval_homogeneous, odd_to_even, square_last_mode,
                        stack_multilinear, SuperSymmetricTensor)
 
 RANK_TOL = 1e-6
@@ -169,7 +169,7 @@ def test_criterion_07_reduction_identities_hold_on_probes():
     rng = np.random.default_rng(6000)
 
     F3 = rng.standard_normal((3, 4, 5))
-    G3 = trilinear_to_biquadratic(F3)
+    G3 = square_last_mode(F3)
     for _ in range(100):
         x, y = rng.standard_normal(3), rng.standard_normal(4)
         lhs = eval_multilinear(G3, [x, y, x, y])

@@ -1,6 +1,6 @@
 """The bi-quadratic routes stop their ADMM once the duality gap closes.
 
-`solve_trilinear`, `solve_multilinear` and `tensorpca solve` on partial
+`solve_multilinear` on dense arrays and `tensorpca solve` on partial
 files call `solve_biquadratic` with `stop_on_gap`: on `run_admm`'s check
 schedule the iterate's read-out is polished and the form there compared
 with the dual bound corrected at vec(x y^T), and the stopped read-out is
@@ -20,7 +20,7 @@ import pytest
 
 from tensorpca import (SolverConfig, main, random_partial_symmetric,
                        solve_biquadratic, solve_leading_pc,
-                       trilinear_to_biquadratic, write_tensor)
+                       square_last_mode, write_tensor)
 from tensorpca import extensions, extraction
 from tensorpca.admm import _block_eig
 from tensorpca.extensions import biquadratic_form, stack_multilinear
@@ -140,7 +140,7 @@ def assert_bitwise_equal(a, b):
 @pytest.mark.parametrize("method", ["sdp", "nnp"])
 @pytest.mark.parametrize("G", [random_partial_symmetric(3, 4, 0),
                                random_partial_symmetric(4, 6, 3),
-                               trilinear_to_biquadratic(array((3, 4, 2), 1))],
+                               square_last_mode(array((3, 4, 2), 1))],
                          ids=["partial-3x4", "partial-4x6", "trilinear"])
 def test_default_report_is_the_unstopped_report(G, method):
     comp, report = solve_biquadratic(G, method)

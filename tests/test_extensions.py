@@ -5,8 +5,8 @@ import pytest
 
 from tensorpca import (partial_symmetrize, is_partial_symmetric,
                        random_partial_symmetric, solve_biquadratic,
-                       trilinear_to_biquadratic, stack_multilinear,
-                       odd_to_even, solve_trilinear, solve_multilinear,
+                       square_last_mode, stack_multilinear,
+                       odd_to_even, solve_multilinear,
                        solve_leading_pc, eval_multilinear, eval_homogeneous,
                        random_gaussian, rank_one, SolverConfig, matr_partial)
 from tensorpca.extensions import _mbi_biquadratic, biquadratic_form
@@ -53,35 +53,45 @@ def test_random_partial_symmetric_is_seeded():
     assert is_partial_symmetric(A, tol=0.0)[0]
 
 
-def test_trilinear_identity_trivial_case():
+def test_square_last_mode_trivial_case():
     F = np.zeros((1, 1, 2))
     F[0, 0, 0], F[0, 0, 1] = 3.0, 4.0
-    G = trilinear_to_biquadratic(F)
+    G = square_last_mode(F)
     assert G.shape == (1, 1, 1, 1)
     assert G[0, 0, 0, 0] == pytest.approx(25.0)
 
 
-def test_trilinear_identity_on_probes():
+@pytest.mark.parametrize("shape", [(3, 4, 5), (3, 4, 2, 3, 5)],
+                         ids=["order-3", "order-5"])
+def test_square_last_mode_identity_on_probes(shape):
     rng = np.random.default_rng(1)
-    F = rng.standard_normal((3, 4, 5))
-    G = trilinear_to_biquadratic(F)
+    F = rng.standard_normal(shape)
+    G = square_last_mode(F)
+    assert G.shape == shape[:-1] * 2
     assert is_partial_symmetric(G, tol=1e-12)[0]
     for _ in range(100):
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(4)
-        lhs = eval_multilinear(G, [x, y, x, y])
-        rhs = float(np.linalg.norm(np.einsum("ijk,i,j->k", F, x, y))) ** 2
+        xs = [rng.standard_normal(n) for n in shape[:-1]]
+        lhs = eval_multilinear(G, xs + xs)
+        contracted = F
+        for x in xs:
+            contracted = np.tensordot(x, contracted, axes=([0], [0]))
+        rhs = float(contracted @ contracted)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_trilinear_rank_one():
+@pytest.mark.parametrize("dims", [(3, 4, 2), (2, 3, 2, 3, 2)],
+                         ids=["order-3", "order-5"])
+def test_odd_order_rank_one(dims):
     rng = np.random.default_rng(2)
-    a, b, c = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(2)
-    F = np.einsum("i,j,k->ijk", a, b, c)
-    comp, _ = solve_trilinear(F)
-    expected = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
+    factors = [rng.standard_normal(n) for n in dims]
+    F = factors[0]
+    for factor in factors[1:]:
+        F = np.multiply.outer(F, factor)
+    comp, _ = solve_multilinear(F)
+    assert comp.certified
+    expected = float(np.prod([np.linalg.norm(f) for f in factors]))
     assert comp.lambda_star == pytest.approx(expected, rel=1e-6)
-    for block, factor in zip(comp.xs, (a, b, c)):
+    for block, factor in zip(comp.xs, factors):
         assert abs(abs(float(block @ unit(factor))) - 1.0) < 1e-6
 
 
@@ -105,7 +115,7 @@ def test_trilinear_matches_grid_oracle():
         if abs(new) - value <= 1e-14:
             break
         value = abs(new)
-    comp, _ = solve_trilinear(F)
+    comp, _ = solve_multilinear(F)
     assert comp.lambda_star == pytest.approx(value, abs=1e-3)
 
 
@@ -177,11 +187,56 @@ def test_multilinear_matrix_case_matches_svd():
     assert abs(abs(float(comp.xs[1] @ vt[0])) - 1.0) < 1e-5
 
 
+def ascent_oracle(F, starts=20, seed=0, tol=1e-14, max_sweeps=2000):
+    # the best of alternating exact block maximizations from random unit
+    # starts: each block in turn becomes F contracted with the others,
+    # normalized, and the form's value is that contraction's norm
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for _ in range(starts):
+        xs = [unit(rng.standard_normal(n)) for n in F.shape]
+        value = -np.inf
+        for _ in range(max_sweeps):
+            previous = value
+            for mode in range(F.ndim):
+                g = np.moveaxis(F, mode, 0)
+                for x in reversed(xs[:mode] + xs[mode + 1:]):
+                    g = g @ x
+                xs[mode] = unit(g)
+            value = float(np.linalg.norm(g))
+            if value - previous <= tol * value:
+                break
+        best = max(best, value)
+    return best
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3, 3), (2, 3, 2, 3, 4)])
+def test_order_five_sdp_certificates_match_an_ascent_oracle(shape):
+    for s in range(20):
+        F = np.random.default_rng(s).standard_normal(shape)
+        comp, _ = solve_multilinear(F, "sdp")
+        oracle = ascent_oracle(F)
+        assert comp.certified, s
+        assert comp.lambda_star == pytest.approx(eval_multilinear(F, comp.xs),
+                                                 rel=1e-12)
+        assert comp.lambda_star >= oracle * (1.0 - 1e-10), s
+        assert comp.bound >= oracle * (1.0 - 1e-12), s
+
+
+@pytest.mark.parametrize("shape, rows", [((2049, 1, 2), 2049), ((2049, 1), 2050)],
+                         ids=["squared", "stacked"])
+def test_multilinear_refuses_a_relaxation_above_the_row_limit(shape, rows):
+    with pytest.raises(ValueError, match=f"N = {rows} rows, above the limit 2048"):
+        solve_multilinear(np.ones(shape))
+
+
 def test_stack_multilinear_input_checks():
     with pytest.raises(ValueError, match="even order"):
         stack_multilinear(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="even order"):
         solve_leading_pc(np.zeros(()))
+    with pytest.raises(ValueError, match="odd order"):
+        square_last_mode(np.zeros((2, 2, 2, 2)))
 
 
 def test_odd_to_even_trivial_and_rank_one():
@@ -205,6 +260,10 @@ def test_order_one_is_refused_with_its_order():
         odd_to_even(F)
     with pytest.raises(ValueError, match="order 1"):
         solve_leading_pc(F)
+    with pytest.raises(ValueError, match="order 1"):
+        square_last_mode(np.ones(3))
+    with pytest.raises(ValueError, match="order 1"):
+        solve_leading_pc(np.ones(3))
 
 
 def test_odd_to_even_identity_on_probes():

@@ -161,7 +161,7 @@ def test_solve_leading_pc_routing_errors():
         solve_leading_pc(random_gaussian(3, 4, 0), "cvx")
     with pytest.raises(ValueError, match="unknown method"):
         solve_even_order(random_gaussian(3, 4, 0), "bogus", SolverConfig())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate"):
         solve_leading_pc(np.zeros((2, 2, 2, 2, 2)))
     bad = np.ones((2, 2, 2, 2))
     bad[0, 1, 0, 1] = np.inf

@@ -256,12 +256,13 @@ def test_cli_solve_prints_bound_and_gap(tmp_path, capsys, extra, expected):
     (["--n", "3"], "sdp", 0),                                  # order 4
     (["--n", "4", "--order", "3"], "sdp", 0),                  # squared
     (["--kind", "general", "--n", "4", "--order", "3"], "sdp", 0),
+    (["--kind", "general", "--n", "3", "--order", "5"], "sdp", 0),
     (["--kind", "general", "--n", "3"], "sdp", 0),             # stacked
     (["--kind", "general", "--n", "3", "--order", "2"], "sdp", 0),
     (["--kind", "general", "--n", "1", "--order", "6"], "nnp", 0),
     (["--kind", "partial_symmetric", "--n", "3", "--m", "4"], "sdp", 0)],
-    ids=["symmetric", "odd", "trilinear", "quadrilinear", "stacked-2",
-         "stacked-6", "biquadratic"])
+    ids=["symmetric", "odd", "trilinear", "order-5", "quadrilinear",
+         "stacked-2", "stacked-6", "biquadratic"])
 def test_cli_bound_is_on_the_scale_of_lambda(tmp_path, capsys, gen, method,
                                              expected):
     # every reduction maps the solve's bound back onto the printed lambda:
@@ -417,8 +418,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 def test_cli_order_one_file_names_its_order(tmp_path, capsys):
     path = tmp_path / "v.tensor"
     write_tensor(path, random_gaussian(3, 1, 0))
-    for command in ("solve", "oracle"):
-        assert main([command, str(path)]) == 1
+    general = tmp_path / "g.tensor"
+    write_tensor(general, np.ones(3), "general")
+    for command, target in (("solve", path), ("oracle", path),
+                            ("solve", general)):
+        assert main([command, str(target)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "order 1" in captured.err
         assert captured.out == ""

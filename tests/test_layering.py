@@ -10,6 +10,7 @@ in one place and read only by the experiments.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -72,6 +73,16 @@ def test_no_package_import_inside_a_function(module):
                 for inner in ast.walk(node)
                 for target in package_imports(inner)]
     assert not deferred, f"{module} imports inside a function: {deferred}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_resolves(module):
+    # a stale name in __all__ fails only at a star import, not at import
+    loaded = importlib.import_module(
+        PACKAGE if module == "__init__" else f"{PACKAGE}.{module}")
+    missing = [name for name in getattr(loaded, "__all__", ())
+               if not hasattr(loaded, name)]
+    assert not missing, f"{module}.__all__ names what it lacks: {missing}"
 
 
 def test_oracle_imports_only_tensors():
