@@ -190,6 +190,17 @@ class Relaxation:
     normal: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
+# the largest relaxation any route may pose: the ADMM keeps about 20
+# N x N float64 arrays, about 0.67 GB at N = 2048
+MAX_ROWS = 2048
+
+
+def _check_rows(rows: int) -> None:
+    """Refuse a relaxation of more than MAX_ROWS rows, before it is built."""
+    if rows > MAX_ROWS:
+        raise ValueError(f"the relaxation has N = {rows} rows, above the limit {MAX_ROWS}")
+
+
 def neg_eig_mass(X: np.ndarray) -> float:
     """Absolute sum of the negative eigenvalues of a symmetric matrix."""
     X = np.asarray(X, dtype=float)
@@ -818,16 +829,17 @@ def _symmetric_relaxation(F: SuperSymmetricTensor) -> Relaxation:
     if F.m % 2:
         raise ValueError("solvers need an even order; square odd orders first")
     n, d = F.n, F.m // 2
+    _check_rows(math.comb(n + d - 1, d))
     # in moment coordinates: C_K = B^T matr(F) B, whose entry (k, l) is F's
     # value at the class pair[k, l] times w[k, l], and the feasible rank-one
     # start e_k e_k^T at the class k of the best coordinate direction,
-    # (best,)*d, alone in it
-    cid, _, _, pair, w = _moment_tables(n, d)
-    best = max(range(n), key=lambda i: F[(i,) * F.m])
-    k = cid[np.ravel_multi_index((best,) * d, (n,) * d)]
+    # (best,)*d, alone in it: the first largest of F's diagonal classes
+    cid, _, pair, w = _moment_tables(n, d)
+    axis = cid[np.ravel_multi_index((np.arange(n),) * d, (n,) * d)]
+    k = axis[np.argmax(F._classes[pair[axis, axis]])]
     Y0 = np.zeros(w.shape)
     Y0[k, k] = 1.0
-    C = F._class_values()[pair] * w
+    C = F._classes[pair] * w
     return Relaxation(C, lambda M: project_moment_C(M, n, d), Y0, (n, d),
                       normal=lambda u: moment_normal(u, n, d))
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import (Relaxation, SolverConfig, _ascent_sweep, _pair_form,
-                   certifies, polish_biquadratic, solve)
+from .admm import (Relaxation, SolverConfig, _ascent_sweep, _check_rows,
+                   _pair_form, certifies, polish_biquadratic, solve)
 from .admm import run_admm  # noqa: F401  lookup site in benchmarks/tracer.py
 from .extraction import (MultilinearComponent, PrincipalComponent,
                          _ascend_with_restarts, solve_even_order)
@@ -42,11 +42,6 @@ __all__ = [
     "solve_multilinear",
     "solve_leading_pc",
 ]
-
-# the largest relaxation a dense array may pose: the ADMM keeps about 20
-# N x N float64 arrays, about 0.67 GB at N = 2048
-MAX_ROWS = 2048
-
 
 @dataclass(frozen=True)
 class BiquadraticComponent(MultilinearComponent):
@@ -127,7 +122,8 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     (`admm.polish_biquadratic`).  Its value lambda is certified iff the
     iteration cap did not stop the solve and bound - lambda <= rank_tol *
     |bound| (`admm.certifies`); an uncertified one falls back to
-    alternating eigenvector ascent with restarts.
+    alternating eigenvector ascent with restarts.  A relaxation of
+    N = s_1 * ... * s_d > `admm.MAX_ROWS` rows is refused.
 
     With stop_on_gap the ADMM also stops once the polished read-out closes
     the gap to the bound corrected at its rank-one point (termination
@@ -153,8 +149,9 @@ def solve_biquadratic(G: np.ndarray, method: str = "sdp",
     """
     cfg = cfg or SolverConfig()
     G = _finite_array(G)
-    Gm = matr_partial(G)
     dims = G.shape[:G.ndim // 2]
+    _check_rows(math.prod(dims))
+    Gm = matr_partial(G)
 
     labels = np.zeros(len(Gm), int) if odd_rows is None else np.asarray(odd_rows)
     if (labels.shape != (len(Gm),) or labels.dtype.kind not in "biu"
@@ -254,10 +251,12 @@ def odd_to_even(F: SuperSymmetricTensor) -> SuperSymmetricTensor:
     The result G satisfies G(x, ..., x) = ||F(x, ..., x, .)||^2, so the
     leading value of F is the square root of G's and the argmax carries
     over (up to the sign making F's form nonnegative).  Order 1 would
-    square to order 0, which no solver takes, so it is refused.
+    square to order 0, which no solver takes, so it is refused, and so is
+    a G whose relaxation would have more than `admm.MAX_ROWS` rows.
     """
     if F.m % 2 == 0 or F.m < 3:
         raise ValueError(f"expected an odd order of at least 3, got order {F.m}")
+    _check_rows(math.comb(F.n + F.m - 2, F.m - 1))
     t = F.to_dense()
     h = np.tensordot(t, t, axes=([F.m - 1], [F.m - 1]))
     return symmetrize(h)
@@ -273,14 +272,13 @@ def solve_multilinear(F: np.ndarray, method: str = "sdp",
     in the 2^(d-1) diagonal blocks of the flips that fix the stacked form,
     where `report.rank_one` tests each block for rank one.  Both stop on
     the duality gap (`stop_on_gap`) and certify by `admm.certifies` at the
-    reduced form's value.  A relaxation of N > MAX_ROWS rows is refused.
+    reduced form's value.  A relaxation of N > `admm.MAX_ROWS` rows is
+    refused.
     """
     F = np.asarray(F, dtype=float)
     k = F.ndim
-    rows = math.prod(F.shape[:-1] if k % 2 else
-                     map(sum, zip(F.shape[:k // 2], F.shape[k // 2:])))
-    if rows > MAX_ROWS:
-        raise ValueError(f"the relaxation has N = {rows} rows, above the limit {MAX_ROWS}")
+    _check_rows(math.prod(F.shape[:-1] if k % 2 else
+                          map(sum, zip(F.shape[:k // 2], F.shape[k // 2:]))))
     if k % 2:
         comp, report = solve_biquadratic(square_last_mode(F), method, cfg,
                                          stop_on_gap=True)

@@ -119,7 +119,7 @@ def _spectrum(report: SolveReport) -> np.ndarray:
     if report.moment is None:
         return np.linalg.eigvalsh(report.X)
     n, d = report.moment
-    _, _, _, pair, w = _moment_tables(n, d)
+    _, _, pair, w = _moment_tables(n, d)
     zeros = np.zeros(n ** d - len(w))
     return np.sort(np.concatenate([np.linalg.eigvalsh(report.values[pair] * w),
                                    zeros]))

@@ -14,18 +14,21 @@ significant digits, which round-trips 64-bit floats exactly.  The
 ``super_symmetric`` kind stores one row per sorted index tuple and the
 reader rejects unsorted or repeated index tuples; ``general`` holds an
 arbitrary dense array; ``partial_symmetric`` holds an (n, m, n, m) array
-and the reader checks the bi-quadratic symmetry.
+and the reader checks the bi-quadratic symmetry.  No file's array may hold
+more than MAX_ROWS**2 values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
+from .admm import MAX_ROWS
 from .matricize import is_partial_symmetric, matr_partial
-from .tensors import SuperSymmetricTensor, _with_classes
+from .tensors import SuperSymmetricTensor, _from_rows
 
 __all__ = ["FORMAT_VERSION", "KINDS", "TensorFileError", "LoadedTensor",
            "read_tensor", "write_tensor"]
@@ -84,6 +87,11 @@ def _dims_problem(kind: str, dims: Tuple[int, ...]) -> str:
     if kind == "partial_symmetric" and (
             len(dims) != 4 or dims[0] != dims[2] or dims[1] != dims[3]):
         return "partial_symmetric dims must be n m n m"
+    # the array read: one value per class, or the dense array
+    size = (math.comb(dims[0] + len(dims) - 1, len(dims))
+            if kind == "super_symmetric" else math.prod(dims))
+    if size > MAX_ROWS ** 2:
+        return f"the array holds {size} values, above the limit {MAX_ROWS ** 2}"
     return ""
 
 
@@ -163,7 +171,7 @@ def read_tensor(path) -> LoadedTensor:
 
     if kind == "super_symmetric":
         # the rows are checked sorted, in range and distinct above
-        data = _with_classes(dims[0], order, dict(entries))
+        data = _from_rows(dims[0], order, entries)
     else:
         data = np.zeros(dims)
         for idx, value in entries:
@@ -179,8 +187,8 @@ def read_tensor(path) -> LoadedTensor:
 def write_tensor(path, data, kind: str = None) -> None:
     """Write a tensor; the kind is inferred unless given explicitly.
 
-    Dims the reader would refuse (empty, zero, or not the kind's shape)
-    raise ValueError before the file is opened.
+    Dims the reader would refuse (empty, zero, not the kind's shape, or
+    too many values) raise ValueError before the file is opened.
     """
     if kind is None:
         kind = "super_symmetric" if isinstance(data, SuperSymmetricTensor) \
@@ -199,8 +207,7 @@ def write_tensor(path, data, kind: str = None) -> None:
     if problem:
         raise ValueError(f"{problem}, got dims {dims}")
     if kind == "super_symmetric":
-        entries = [(key, value) for key, value in sorted(data.items())
-                   if value != 0.0]
+        entries = list(data.items())  # the nonzero classes, in key order
     else:
         if kind == "partial_symmetric":
             matr_partial(data)  # raises on a partial-symmetry violation

@@ -76,7 +76,7 @@ def _trace_classes(n: int, d: int):
     and every other class has diag 0.
     """
     _, counts = _class_keys(n, 2 * d)
-    _, _, _, pair, _ = _moment_tables(n, d)
+    _, _, pair, _ = _moment_tables(n, d)
     diag = np.zeros(len(counts))
     diag[pair.diagonal()] = _class_keys(n, d)[1]
     ibar = diag / counts
@@ -106,24 +106,21 @@ def project_C(Z: np.ndarray, n: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _moment_tables(n: int, d: int):
-    """(cid, rep, root, pair, w): the moment basis at a given (n, d).
+    """(cid, root, pair, w): the moment basis at a given (n, d).
 
     cid maps each of the n**d rows to its d-multiset class (the (n, d)
-    dense class map), rep[k] is the first row of class k, the row-major
-    position of its sorted key, root[k] = sqrt(c_k), pair[k, l] is the
-    2d-class of the union of classes k and l, and w = outer(root, root).
-    Classes are in the lexicographic key order of `tensors._class_keys`,
-    and pair ranks the K^2 merged keys directly, so no n**(2d) table is
-    built.
+    dense class map), root[k] = sqrt(c_k), pair[k, l] is the 2d-class of
+    the union of classes k and l, and w = outer(root, root).  Classes are
+    in the lexicographic key order of `tensors._class_keys`, and pair
+    ranks the K^2 merged keys directly, so no n**(2d) table is built.
     """
     keys, counts = _class_keys(n, d)
     a = np.array(keys).T
-    rep = np.ravel_multi_index(a, (n,) * d)
     merged = np.concatenate(np.broadcast_arrays(a[:, :, None], a[:, None, :]))
     merged.sort(axis=0)
     pair = _class_of(merged, n)
     root = np.sqrt(counts)
-    tables = (rep, root, pair, np.outer(root, root))
+    tables = (root, pair, np.outer(root, root))
     for table in tables:
         table.setflags(write=False)  # cached: shared by every caller
     return (_class_map(n, d), *tables)
@@ -133,7 +130,7 @@ def _moment_tables(n: int, d: int):
 def _flat_pair(n: int, d: int) -> np.ndarray:
     # pair.ravel() for np.bincount, which copies a read-only index on every
     # call: so this cached copy stays writable, and no caller writes it
-    return _moment_tables(n, d)[3].ravel().copy()
+    return _moment_tables(n, d)[2].ravel().copy()
 
 
 def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -144,7 +141,7 @@ def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
     which `xvals[pair] * w` lifts to M and `xvals[class_id]` to B M B^T.
     """
     M = np.asarray(M, dtype=float)
-    w = _moment_tables(n, d)[4]
+    w = _moment_tables(n, d)[3]
     if M.shape != w.shape:
         raise ValueError(f"expected a {len(w)}x{len(w)} matrix, got {M.shape}")
     _, counts = _class_keys(n, 2 * d)
@@ -154,7 +151,7 @@ def moment_class_values(M: np.ndarray, n: int, d: int) -> np.ndarray:
 
 def lift_moment(M: np.ndarray, n: int, d: int) -> np.ndarray:
     """B M B^T for a K x K moment matrix M, or B M for a length-K vector."""
-    cid, _, root, _, w = _moment_tables(n, d)
+    cid, root, _, w = _moment_tables(n, d)
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         return (M / root)[cid]
@@ -167,7 +164,7 @@ def moment_point(x: np.ndarray, n: int, d: int) -> np.ndarray:
     Entry k is sqrt(c_k) times the monomial of class k, so u u^T is the
     moment matrix of x^(x)d x^(x)d and u^T C_K u = F(x).
     """
-    cid, _, root, _, _ = _moment_tables(n, d)
+    cid, root, _, _ = _moment_tables(n, d)
     power = np.asarray(x, dtype=float)
     for _ in range(d - 1):
         power = np.multiply.outer(power, x)
@@ -183,7 +180,7 @@ def _moment_normal_tables(n: int, d: int):
     C(d, j)^2 / C(2d, d), the share of the placements of d indices among
     2d slots that put j of them in the last d.
     """
-    cid, _, root, pair, w = _moment_tables(n, d)
+    cid, root, pair, w = _moment_tables(n, d)
     B = np.zeros((n ** d, len(root)))
     B[np.arange(n ** d), cid] = 1.0 / root[cid]
     _, ibar, ibar_trace = _trace_classes(n, d)
@@ -233,7 +230,7 @@ def project_moment_C(M: np.ndarray, n: int, d: int) -> np.ndarray:
     read back as xvals_s w_kl.  B is an isometry, so distances are those
     of project_C.
     """
-    _, _, _, pair, w = _moment_tables(n, d)
+    _, _, pair, w = _moment_tables(n, d)
     zbar = moment_class_values(M, n, d)
     diag, ibar, ibar_trace = _trace_classes(n, d)
     xvals = zbar + (1.0 - float(diag @ zbar)) / ibar_trace * ibar

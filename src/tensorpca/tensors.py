@@ -2,8 +2,9 @@
 
 A tensor that is invariant under every permutation of its indices is fully
 determined by one value per sorted index tuple.  This module provides that
-canonical storage, the multinomial bookkeeping needed elsewhere, and the
-basic form evaluations (multilinear and homogeneous).
+canonical storage, one array of those values in the tuples' lexicographic
+order, the multinomial bookkeeping needed elsewhere, and the basic form
+evaluations (multilinear and homogeneous).
 
 Indices are 0-based throughout the in-memory API.
 """
@@ -45,8 +46,8 @@ def _class_keys(n: int, m: int):
     order, as `itertools.combinations_with_replacement` yields them, and
     `counts[c]` is the number of distinct permutations of keys[c], the
     multinomial m!/prod(mult!).  Both have C(n+m-1, m) entries, so a caller
-    that reads no dense array needs only these: `rank_one`, `_class_lookup`
-    and the moment tables of `projection`.
+    that reads no dense array needs only these: `rank_one`, `inner`, `items`,
+    `_class_lookup` and the moment tables of `projection`.
     """
     keys = list(itertools.combinations_with_replacement(range(n), m))
     a = np.array(keys).T
@@ -146,10 +147,10 @@ def enumerate_signatures(n: int, d: int) -> list:
 class SuperSymmetricTensor:
     """Order-m, dimension-n tensor invariant under all index permutations.
 
-    One value is stored per permutation class, keyed by the sorted index
-    tuple; reading any permuted index returns the canonical entry, and
-    absent classes read as 0.  Values are immutable after construction, so
-    instances may be shared freely across threads.
+    Stored as one float64 value per permutation class, a read-only array in
+    the key order of `_class_keys`; reading any permuted index returns its
+    class's value, 0 for a class no entry names.  Values are immutable after
+    construction, so instances may be shared freely across threads.
 
     Parameters
     ----------
@@ -162,14 +163,13 @@ class SuperSymmetricTensor:
         the same class, or a nan or inf value, is an error.
     """
 
-    __slots__ = ("n", "m", "_values", "_dense", "_classes")
+    __slots__ = ("n", "m", "_classes", "_dense")
 
     def __init__(self, n: int, m: int,
                  values: Union[Mapping, Iterable, None] = None):
         if n < 1 or m < 1:
             raise ValueError("dimension and order must be positive")
-        self.n = int(n)
-        self.m = int(m)
+        self.n, self.m = int(n), int(m)
         stored: dict = {}
         if values is not None:
             items = values.items() if isinstance(values, Mapping) else values
@@ -183,85 +183,82 @@ class SuperSymmetricTensor:
                 stored[key] = float(v)
                 if not math.isfinite(stored[key]):
                     raise ValueError(f"entry {key} is not finite: {stored[key]}")
-        self._values = stored
-        self._dense = self._classes = None
+        classes = np.zeros(math.comb(self.n + self.m - 1, self.m))
+        if stored:  # ranked by `_class_of`: no table of every class is built
+            rank = _class_of(np.array(list(stored)).T, self.n)
+            classes[rank] = list(stored.values())
+        classes.setflags(write=False)
+        self._classes, self._dense = classes, None
 
     def __getitem__(self, idx) -> float:
         key = canonical_index(idx, self.n)
         if len(key) != self.m:
             raise ValueError(f"index {tuple(idx)} has {len(key)} components, "
                              f"expected {self.m}")
-        return self._values.get(key, 0.0)
+        return float(self._classes[_class_lookup(self.n, self.m)[key]])
 
     def items(self) -> Iterator:
-        """Iterate (canonical index, value) over stored classes."""
-        return iter(self._values.items())
+        """Iterate (canonical index, float) over nonzero classes, in key order."""
+        keys, _ = _class_keys(self.n, self.m)
+        nonzero = np.flatnonzero(self._classes)
+        return zip([keys[c] for c in nonzero], self._classes[nonzero].tolist())
 
     def __len__(self) -> int:
-        return len(self._values)
+        """Count the nonzero classes."""
+        return int(np.count_nonzero(self._classes))
 
     def to_dense(self) -> np.ndarray:
         """Dense (n,)*m array; computed once and cached."""
         if self._dense is None:
-            class_id = _class_map(self.n, self.m)
-            self._dense = self._class_values()[class_id].reshape((self.n,) * self.m)
+            self._dense = self._classes[_class_map(self.n, self.m)].reshape(
+                (self.n,) * self.m)
             self._dense.setflags(write=False)
         return self._dense
-
-    def _class_values(self) -> np.ndarray:
-        # one value per class in `_class_keys` order, 0 where none is
-        # stored; computed once and cached, like the dense array, and
-        # published only when complete, since instances are shared
-        if self._classes is None:
-            lookup = _class_lookup(self.n, self.m)
-            values = np.zeros(len(lookup))
-            for key, v in self._values.items():
-                values[lookup[key]] = v
-            values.setflags(write=False)
-            self._classes = values
-        return self._classes
 
     def norm(self) -> float:
         """Frobenius norm over the full index space."""
         return math.sqrt(inner(self, self))
 
-    def _combine(self, other: "SuperSymmetricTensor", sign: float):
+    def __add__(self, other):
         if (self.n, self.m) != (other.n, other.m):
             raise ValueError("shape mismatch")
-        keys = set(self._values) | set(other._values)
-        vals = {k: self._values.get(k, 0.0) + sign * other._values.get(k, 0.0)
-                for k in keys}
-        return _with_classes(self.n, self.m, vals)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
+        with np.errstate(over="ignore"):  # an overflow is refused as inf
+            return _with_classes(self.n, self.m, self._classes + other._classes)
 
     def __sub__(self, other):
-        return self._combine(other, -1.0)
+        return self + -1.0 * other
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        return _with_classes(
-            self.n, self.m, {k: scalar * v for k, v in self._values.items()})
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _with_classes(self.n, self.m, float(scalar) * self._classes)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return (f"SuperSymmetricTensor(n={self.n}, m={self.m}, "
-                f"classes={len(self._values)})")
+        return f"SuperSymmetricTensor(n={self.n}, m={self.m}, classes={len(self)})"
 
 
-def _with_classes(n: int, m: int, values: dict) -> SuperSymmetricTensor:
-    # the (n, m) tensor holding `values`, Python floats keyed by distinct
-    # canonical (sorted, in-range) class keys of length m: the
-    # constructor's finiteness check but not its key canonicalization,
-    # which would only sort each key again
-    for key, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError(f"entry {key} is not finite: {v}")
-    out = SuperSymmetricTensor(n, m)
-    out._values = values
+def _with_classes(n: int, m: int, classes: np.ndarray) -> SuperSymmetricTensor:
+    # the (n, m) tensor holding `classes`, a fresh float64 array of one
+    # value per class in `_class_keys` order, which it makes read-only:
+    # the constructor's finiteness check, on the array
+    if not np.isfinite(classes).all():
+        c = int(np.argmin(np.isfinite(classes)))
+        raise ValueError(f"entry {_class_keys(n, m)[0][c]} is not finite: {classes[c]}")
+    classes.setflags(write=False)
+    out = SuperSymmetricTensor.__new__(SuperSymmetricTensor)
+    out.n, out.m, out._classes, out._dense = n, m, classes, None
     return out
+
+
+def _from_rows(n: int, m: int, rows) -> SuperSymmetricTensor:
+    # the tensor of (key, value) rows with distinct canonical keys of length
+    # m, as `io.read_tensor` checks them: no key is sorted again
+    lookup = _class_lookup(n, m)
+    classes = np.zeros(len(lookup))
+    for key, v in rows:
+        classes[lookup[key]] = v
+    return _with_classes(n, m, classes)
 
 
 def symmetrize(t: np.ndarray) -> SuperSymmetricTensor:
@@ -271,17 +268,17 @@ def symmetrize(t: np.ndarray) -> SuperSymmetricTensor:
     with exact class multiplicities rather than by enumerating all m!
     permutations.  Idempotent: symmetrizing an already-symmetric array
     reproduces its values.  Dense input, so it reads the n**m class map
-    `_class_map` (one rank per index tuple, no sort of the tuples) and
-    stores the means in the lexicographic key order of `_class_keys`.
+    `_class_map` (one rank per index tuple, no sort of the tuples); the
+    class means are the result's class-value array.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim < 1 or len(set(t.shape)) != 1:
         raise ValueError(f"cubical array required, got shape {t.shape}")
     n, m = t.shape[0], t.ndim
-    keys, counts = _class_keys(n, m)
+    _, counts = _class_keys(n, m)
     means = np.bincount(_class_map(n, m), weights=t.ravel(),
-                        minlength=len(keys)) / counts
-    return _with_classes(n, m, dict(zip(keys, means.tolist())))
+                        minlength=len(counts)) / counts
+    return _with_classes(n, m, means)
 
 
 def _as_dense(f) -> np.ndarray:
@@ -364,17 +361,18 @@ def rank_one(lam: float, a: np.ndarray, m: int) -> SuperSymmetricTensor:
     if a.ndim != 1 or m < 1:
         raise ValueError("need a vector and a positive order")
     keys, _ = _class_keys(a.size, m)
-    vals = {k: float(lam) * float(np.prod(a[list(k)])) for k in keys}
-    return _with_classes(a.size, m, vals)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as inf or nan
+        classes = float(lam) * np.prod(a[np.array(keys)], axis=1)
+    return _with_classes(a.size, m, classes)
 
 
 def inner(f: SuperSymmetricTensor, g: SuperSymmetricTensor) -> float:
     """Inner product over the full index space, via class multiplicities."""
     if (f.n, f.m) != (g.n, g.m):
         raise ValueError("shape mismatch")
-    shared = set(f._values) & set(g._values)
-    return float(sum(class_size(k) * f._values[k] * g._values[k]
-                     for k in shared))
+    _, counts = _class_keys(f.n, f.m)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, as Python floats give
+        return float((counts * f._classes) @ g._classes)
 
 
 def identity_power(n: int, d: int) -> SuperSymmetricTensor:

@@ -29,12 +29,11 @@ def reference(n, m):
 
 
 def moment_reference(n, d):
-    """(rep, root, pair, w, diag, ibar) of the moment basis, by enumeration."""
+    """(root, pair, w, diag, ibar) of the moment basis, by enumeration."""
     keys, _, counts = reference(n, d)
     keys2, _, counts2 = reference(n, 2 * d)
     position2 = {key: c for c, key in enumerate(keys2)}
     rows = list(itertools.product(range(n), repeat=d))
-    rep = [rows.index(key) for key in keys]
     root = [math.sqrt(c) for c in counts]
     pair = [[position2[tuple(sorted(k + l))] for l in keys] for k in keys]
     w = [[r * s for s in root] for r in root]
@@ -42,7 +41,7 @@ def moment_reference(n, d):
     for x in rows:
         diag[position2[tuple(sorted(x + x))]] += 1.0
     ibar = [v / c for v, c in zip(diag, counts2)]
-    return rep, root, pair, w, diag, ibar
+    return root, pair, w, diag, ibar
 
 
 def assert_same(actual, expected):
@@ -70,13 +69,13 @@ def test_class_tables_match_enumeration(n, m):
 @example(1, 3)
 @example(5, 3)
 def test_moment_tables_match_enumeration(n, d):
-    rep, root, pair, w, diag, ibar = moment_reference(n, d)
-    cid, actual_rep, actual_root, actual_pair, actual_w = _moment_tables(n, d)
+    root, pair, w, diag, ibar = moment_reference(n, d)
+    cid, actual_root, actual_pair, actual_w = _moment_tables(n, d)
     actual_diag, actual_ibar, ibar_trace = _trace_classes(n, d)
     assert_same(cid, reference(n, d)[1])
-    for actual, expected in ((actual_rep, rep), (actual_root, root),
-                             (actual_pair, pair), (actual_w, w),
-                             (actual_diag, diag), (actual_ibar, ibar)):
+    for actual, expected in ((actual_root, root), (actual_pair, pair),
+                             (actual_w, w), (actual_diag, diag),
+                             (actual_ibar, ibar)):
         assert_same(actual, expected)
     assert ibar_trace == float(np.dot(diag, ibar))
 

@@ -8,7 +8,8 @@ from tensorpca import (partial_symmetrize, is_partial_symmetric,
                        square_last_mode, stack_multilinear,
                        odd_to_even, solve_multilinear,
                        solve_leading_pc, eval_multilinear, eval_homogeneous,
-                       random_gaussian, rank_one, SolverConfig, matr_partial)
+                       random_gaussian, rank_one, SolverConfig, matr_partial,
+                       SuperSymmetricTensor)
 from tensorpca.extensions import _mbi_biquadratic, biquadratic_form
 
 
@@ -228,6 +229,20 @@ def test_order_five_sdp_certificates_match_an_ascent_oracle(shape):
 def test_multilinear_refuses_a_relaxation_above_the_row_limit(shape, rows):
     with pytest.raises(ValueError, match=f"N = {rows} rows, above the limit 2048"):
         solve_multilinear(np.ones(shape))
+
+
+@pytest.mark.parametrize("m", [4, 3], ids=["even", "odd"])
+def test_symmetric_routes_refuse_a_relaxation_above_the_row_limit(m):
+    # K = C(65, 2) = 2080 moment rows, for order 4 and for the square of
+    # order 3, refused before any table or square is built
+    F = SuperSymmetricTensor(64, m, {(0,) * m: 1.0})
+    with pytest.raises(ValueError, match="N = 2080 rows, above the limit 2048"):
+        solve_leading_pc(F)
+
+
+def test_partial_route_refuses_a_relaxation_above_the_row_limit():
+    with pytest.raises(ValueError, match="N = 2049 rows, above the limit 2048"):
+        solve_biquadratic(np.zeros((2049, 1, 2049, 1)))
 
 
 def test_stack_multilinear_input_checks():

@@ -170,6 +170,20 @@ def test_non_ascii_digits_name_their_line(tmp_path, capsys, body, line,
     assert capsys.readouterr().err.startswith(f"error: line {line}:")
 
 
+@pytest.mark.parametrize("kind, dims, size", [
+    ("super_symmetric", "100 100 100 100", math.comb(103, 4)),
+    ("partial_symmetric", "46 46 46 46", 46 ** 4),
+    ("general", "2049 2048", 2049 * 2048)])
+def test_reader_refuses_an_array_above_the_size_limit(tmp_path, kind, dims, size):
+    # the class-value or dense array would hold more than 2048**2 values:
+    # refused on the dims line, before it is allocated
+    body = f"tensorfile 1\nkind {kind}\ndims {dims}\nentries 0\n"
+    limit = f"holds {size} values, above the limit 4194304"
+    with pytest.raises(TensorFileError, match=limit) as excinfo:
+        read_tensor(write_text(tmp_path / "big.tensor", body))
+    assert excinfo.value.line == 3
+
+
 def test_reader_checks_partial_symmetry(tmp_path):
     body = ("tensorfile 1\nkind partial_symmetric\ndims 2 2 2 2\nentries 1\n"
             "1 1 2 2 0.5\n")
@@ -192,7 +206,8 @@ def test_writer_input_checks(tmp_path):
     (np.zeros((0, 0, 0, 0)), "general"),
     (np.zeros(()), "general"),
     (np.zeros((0, 0, 0, 0)), "partial_symmetric"),
-    (np.zeros((2, 3, 3, 2)), "partial_symmetric")])
+    (np.zeros((2, 3, 3, 2)), "partial_symmetric"),
+    (np.broadcast_to(0.0, (2049, 2048)), "general")])
 def test_writer_refuses_dims_the_reader_refuses(tmp_path, data, kind):
     path = tmp_path / "x"
     with pytest.raises(ValueError, match="dims"):

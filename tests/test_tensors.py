@@ -67,6 +67,14 @@ def test_tensor_getitem_is_permutation_invariant():
             F[wrong_length]
 
 
+def test_items_and_len_count_the_nonzero_classes_in_key_order():
+    F = SuperSymmetricTensor(3, 2, {(2, 1): 4.0, (0, 0): 0.0, (1, 0): -1.5})
+    assert list(F.items()) == [((0, 1), -1.5), ((1, 2), 4.0)]
+    assert all(type(v) is float for _, v in F.items())
+    assert len(F) == 2
+    assert len(F - F) == 0 and list((F - F).items()) == []
+
+
 def test_tensor_rejects_bad_entries():
     with pytest.raises(ValueError):
         SuperSymmetricTensor(2, 2, {(0, 1): 1.0, (1, 0): 2.0})
