@@ -251,12 +251,10 @@ def odd_to_even(F: SuperSymmetricTensor) -> SuperSymmetricTensor:
     The result G satisfies G(x, ..., x) = ||F(x, ..., x, .)||^2, so the
     leading value of F is the square root of G's and the argmax carries
     over (up to the sign making F's form nonnegative).  Order 1 would
-    square to order 0, which no solver takes, so it is refused, and so is
-    a G whose relaxation would have more than `admm.MAX_ROWS` rows.
+    square to order 0, which no solver takes, so it is refused.
     """
     if F.m % 2 == 0 or F.m < 3:
         raise ValueError(f"expected an odd order of at least 3, got order {F.m}")
-    _check_rows(math.comb(F.n + F.m - 2, F.m - 1))
     t = F.to_dense()
     h = np.tensordot(t, t, axes=([F.m - 1], [F.m - 1]))
     return symmetrize(h)
@@ -328,7 +326,9 @@ def solve_leading_pc(F, method: str = "sdp", cfg: SolverConfig = None):
     if isinstance(F, SuperSymmetricTensor):
         if F.m % 2 == 0:
             return solve_even_order(F, method, cfg)
-        # odd order: maximize the squared norm of the once-contracted form
+        # odd order: maximize the squared norm of the once-contracted form,
+        # refusing a relaxation above the row limit before squaring
+        _check_rows(math.comb(F.n + F.m - 2, F.m - 1))
         pc_even, report = solve_leading_pc(odd_to_even(F), method, cfg)
         x = _fix_sign(F, pc_even.x_star)
         # the squared form's maximum is the square of F's

@@ -150,7 +150,7 @@ def read_tensor(path) -> LoadedTensor:
             value = float(tokens[order])
         except ValueError:
             raise TensorFileError(f"bad value {tokens[order]!r}", number)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise TensorFileError("values must be finite", number)
         for component, dim in zip(idx, dims):
             if component < 0 or component >= dim:

@@ -46,8 +46,8 @@ def _class_keys(n: int, m: int):
     order, as `itertools.combinations_with_replacement` yields them, and
     `counts[c]` is the number of distinct permutations of keys[c], the
     multinomial m!/prod(mult!).  Both have C(n+m-1, m) entries, so a caller
-    that reads no dense array needs only these: `rank_one`, `inner`, `items`,
-    `_class_lookup` and the moment tables of `projection`.
+    that reads no dense array needs only these: `rank_one`, `inner`,
+    `items` and the moment tables of `projection`.
     """
     keys = list(itertools.combinations_with_replacement(range(n), m))
     a = np.array(keys).T
@@ -91,12 +91,6 @@ def _class_map(n: int, m: int) -> np.ndarray:
     # cached and shared, yet left writable: np.bincount copies a read-only
     # index array, an n**m copy in every dense average
     return _class_of(a, n)
-
-
-@lru_cache(maxsize=None)
-def _class_lookup(n: int, m: int) -> Mapping[Index, int]:
-    keys, _ = _class_keys(n, m)
-    return {key: c for c, key in enumerate(keys)}
 
 
 def canonical_index(idx: Sequence[int], n: int) -> Index:
@@ -169,7 +163,8 @@ class SuperSymmetricTensor:
                  values: Union[Mapping, Iterable, None] = None):
         if n < 1 or m < 1:
             raise ValueError("dimension and order must be positive")
-        self.n, self.m = int(n), int(m)
+        self.n = int(n)
+        self.m = int(m)
         stored: dict = {}
         if values is not None:
             items = values.items() if isinstance(values, Mapping) else values
@@ -183,19 +178,16 @@ class SuperSymmetricTensor:
                 stored[key] = float(v)
                 if not math.isfinite(stored[key]):
                     raise ValueError(f"entry {key} is not finite: {stored[key]}")
-        classes = np.zeros(math.comb(self.n + self.m - 1, self.m))
-        if stored:  # ranked by `_class_of`: no table of every class is built
-            rank = _class_of(np.array(list(stored)).T, self.n)
-            classes[rank] = list(stored.values())
-        classes.setflags(write=False)
-        self._classes, self._dense = classes, None
+        self._classes = _class_array(self.n, self.m, stored.items())
+        self._classes.setflags(write=False)
+        self._dense = None
 
     def __getitem__(self, idx) -> float:
         key = canonical_index(idx, self.n)
         if len(key) != self.m:
             raise ValueError(f"index {tuple(idx)} has {len(key)} components, "
                              f"expected {self.m}")
-        return float(self._classes[_class_lookup(self.n, self.m)[key]])
+        return float(self._classes[_class_of(np.array(key), self.n)])
 
     def items(self) -> Iterator:
         """Iterate (canonical index, float) over nonzero classes, in key order."""
@@ -235,7 +227,8 @@ class SuperSymmetricTensor:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"SuperSymmetricTensor(n={self.n}, m={self.m}, classes={len(self)})"
+        return (f"SuperSymmetricTensor(n={self.n}, m={self.m}, "
+                f"classes={len(self)})")
 
 
 def _with_classes(n: int, m: int, classes: np.ndarray) -> SuperSymmetricTensor:
@@ -251,14 +244,22 @@ def _with_classes(n: int, m: int, classes: np.ndarray) -> SuperSymmetricTensor:
     return out
 
 
+def _class_array(n: int, m: int, rows) -> np.ndarray:
+    # one value per class in `_class_keys` order, 0 where no row names it,
+    # from (key, value) rows with distinct canonical keys of length m;
+    # ranked by `_class_of`, so no table of every class is built
+    classes = np.zeros(math.comb(n + m - 1, m))
+    if rows:
+        keys, values = zip(*rows)
+        a = np.fromiter(itertools.chain.from_iterable(keys), np.intp, m * len(keys))
+        classes[_class_of(a.reshape(-1, m).T, n)] = values
+    return classes
+
+
 def _from_rows(n: int, m: int, rows) -> SuperSymmetricTensor:
-    # the tensor of (key, value) rows with distinct canonical keys of length
-    # m, as `io.read_tensor` checks them: no key is sorted again
-    lookup = _class_lookup(n, m)
-    classes = np.zeros(len(lookup))
-    for key, v in rows:
-        classes[lookup[key]] = v
-    return _with_classes(n, m, classes)
+    # the tensor of rows as `io.read_tensor` checks them: canonical,
+    # distinct and finite, so no key is sorted again
+    return _with_classes(n, m, _class_array(n, m, rows))
 
 
 def symmetrize(t: np.ndarray) -> SuperSymmetricTensor:

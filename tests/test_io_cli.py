@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tensorpca import admm, cli
+from tensorpca import admm, cli, tensors
 from tensorpca import (read_tensor, write_tensor, TensorFileError,
                        ExperimentSpec, run_experiment, main, CSV_COLUMNS,
                        random_gaussian, random_partial_symmetric,
@@ -182,6 +182,19 @@ def test_reader_refuses_an_array_above_the_size_limit(tmp_path, kind, dims, size
     with pytest.raises(TensorFileError, match=limit) as excinfo:
         read_tensor(write_text(tmp_path / "big.tensor", body))
     assert excinfo.value.line == 3
+
+
+def test_sparse_tensors_build_no_table_of_every_class(tmp_path):
+    # at (64, 4), 766 480 classes, a file, a constructor call and an index
+    # read rank their few entries without listing the key of every class
+    before = tensors._class_keys.cache_info()
+    body = ("tensorfile 1\nkind super_symmetric\ndims 64 64 64 64\nentries 2\n"
+            "1 1 1 1 0.5\n2 3 5 64 -1.25\n")
+    F = read_tensor(write_text(tmp_path / "sparse.tensor", body)).data
+    G = SuperSymmetricTensor(64, 4, {(63, 4, 2, 1): -1.25, (0, 0, 0, 0): 0.5})
+    assert (F[(63, 1, 2, 4)], F[(0, 0, 0, 0)], G[(4, 63, 1, 2)]) == (-1.25, 0.5, -1.25)
+    assert np.array_equal(F._classes, G._classes)
+    assert tensors._class_keys.cache_info() == before
 
 
 def test_reader_checks_partial_symmetry(tmp_path):
